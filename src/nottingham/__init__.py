@@ -45,7 +45,7 @@ from .order4 import (
     sigma_support,
     verify_all,
 )
-from .series import Series
+from .series import MAX_TRUNC, Series
 
 __version__ = "0.1.0"
 
@@ -57,6 +57,7 @@ __all__ = [
     "FieldElement",
     "GroupElement",
     "INFINITE_DEPTH",
+    "MAX_TRUNC",
     "MismatchedContext",
     "NonzeroConstant",
     "NotAUnit",

@@ -21,7 +21,7 @@ from .group import (
     order_mod_truncation,
 )
 from .order4 import run_checks, sigma_algebraic, sigma_bundle, sigma_closed, sigma_relation
-from .series import Series
+from .series import MAX_TRUNC, Series
 
 _SIGMA_ROUTES = {
     "closed": sigma_closed,
@@ -177,6 +177,8 @@ def run(argv):
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        if getattr(ns, "trunc", None) is not None and ns.trunc > MAX_TRUNC:
+            raise ValueError(f"--trunc {ns.trunc} exceeds the precision cap {MAX_TRUNC}")
         return ns.func(ns)
     except (NottinghamError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -45,7 +45,7 @@ from dataclasses import dataclass, replace
 
 from .errors import BadPrecision, WrongCharacteristic
 from .group import GroupElement
-from .series import Series
+from .series import MAX_TRUNC, Series
 
 CHECK_NAMES = (
     "artin_schreier",
@@ -62,8 +62,9 @@ DEFAULT_PRECISION = 1024
 def sigma_support(trunc):
     """Nonzero exponents of the closed form, ascending: {1, 2} and all
     6*2^j + 2*l <= trunc with j >= 0, 0 <= l < 2^j."""
-    if not isinstance(trunc, int) or isinstance(trunc, bool) or trunc < 2:
-        raise BadPrecision(f"need truncation order >= 2, got {trunc!r}")
+    if (not isinstance(trunc, int) or isinstance(trunc, bool)
+            or not 2 <= trunc <= MAX_TRUNC):
+        raise BadPrecision(f"need truncation order in [2, {MAX_TRUNC}], got {trunc!r}")
     exps = [1, 2]
     j = 0
     while 6 * 2 ** j <= trunc:
@@ -84,22 +85,12 @@ def sigma_closed(trunc):
 
 
 def schreier_root(trunc):
-    """The valuation-3 root s of s^2 + s = t^3 + t^4 over F_2.
-
-    Computed as the terminating sum of (t^3 + t^4)^(2^i); squaring shifts
-    the valuation past trunc after finitely many steps.  Agrees with
-    Series.artin_schreier_root(t^3 + t^4) term for term.
-    """
+    """The valuation-3 root s of s^2 + s = t^3 + t^4 over F_2, that is
+    Series.artin_schreier_root of t^3 + t^4 truncated at N."""
     if not isinstance(trunc, int) or isinstance(trunc, bool) or trunc < 0:
         raise BadPrecision(f"need a non-negative truncation order, got {trunc!r}")
-    acc = Series.zero(2, trunc)
-    if trunc < 3:
-        return acc
-    power = Series.from_terms(2, trunc, {3: 1, 4: 1})
-    while not power.is_zero():
-        acc = acc + power
-        power = power * power
-    return acc
+    rhs = {e: 1 for e in (3, 4) if e <= trunc}      # t^3 + t^4, truncated
+    return Series.from_terms(2, trunc, rhs).artin_schreier_root()
 
 
 def relation_root(trunc):

@@ -8,12 +8,11 @@ precisions is an error rather than an implicit coercion, and truncating is
 the only way to lower precision.
 
 All arithmetic is exact integer arithmetic; nothing here touches floating
-point.  Multiplication reduces a single integer convolution (coefficients
-are < 257 and lengths are moderate, so int64 never overflows).  Composition
-is offered in two interchangeable forms: a Horner ladder (`compose_horner`,
-the reference, N series products) and a square-root block decomposition
-(`compose`, about 2*sqrt(N) series products) that agrees with it bit for
-bit.
+point.  A product is one int64 convolution reduced mod p.  Over F_p a p-th
+power is a coefficient spread, f(t)^p = f(t^p), which p-th powers,
+Artin-Schreier roots and composition use.  Composition is Bernstein's
+Frobenius split, O(p*M(N)*log_p N) for M(N) the cost of one product, with
+a square-root block ladder (about 2*sqrt(N) products) at its leaves.
 
 Values are immutable after construction and every operation is a pure
 function of its inputs, so Series objects are safe to share across threads.
@@ -36,6 +35,18 @@ from .errors import (
 from .field import check_prime
 
 _DT = np.int64
+
+# Largest truncation order anywhere (Series, from_text, every CLI --trunc):
+# it caps what a hostile header can allocate and keeps int64 sums exact:
+# (N+1)*(p-1)^2 < 2^63, as it is at most about 2^36 (N = 2^20, p = 257).
+MAX_TRUNC = 2 ** 20
+_LEAF = 128     # f of at most this many coefficients composes by the block ladder
+
+
+def _check_trunc(trunc):
+    if not isinstance(trunc, int) or isinstance(trunc, bool) or not 0 <= trunc <= MAX_TRUNC:
+        raise ValueError(
+            f"truncation order must be an int in [0, {MAX_TRUNC}], got {trunc!r}")
 
 
 def _zeros(n1):
@@ -60,8 +71,18 @@ def _mul(a, b, p):
     return out
 
 
+def _frobenius(a, q, n1):
+    """a(t)^q = a(t^q) mod t^n1 for q a power of p, as c^p = c in F_p."""
+    out = _zeros(n1)
+    out[::q] = a[:(n1 - 1) // q + 1]
+    return out
+
+
 def _pow(a, k, p):
     n1 = a.shape[0]
+    q = 1
+    while k and k % p == 0:     # a^(k*q) is a^k spread q apart
+        k, q = k // p, q * p
     out = _zeros(n1)
     out[0] = 1
     base = a
@@ -71,7 +92,7 @@ def _pow(a, k, p):
         k >>= 1
         if k:
             base = _mul(base, base, p)
-    return out
+    return _frobenius(out, q, n1) if q > 1 else out
 
 
 def _reciprocal(a, p):
@@ -90,16 +111,6 @@ def _reciprocal(a, p):
         corr[0] = (corr[0] + 2) % p
         g = np.convolve(g, corr)[:prec] % p
     return g
-
-
-def _compose_horner(f, g, p):
-    n1 = f.shape[0]
-    acc = _zeros(n1)
-    acc[0] = f[n1 - 1]
-    for k in range(n1 - 2, -1, -1):
-        acc = _mul(acc, g, p)
-        acc[0] = (acc[0] + f[k]) % p
-    return acc
 
 
 def _compose_block(f, g, p):
@@ -122,6 +133,24 @@ def _compose_block(f, g, p):
             acc = block
         else:
             acc = (_mul(acc, gm, p) + block) % p
+    return acc
+
+
+def _compose(f, g, p):
+    """f(g) by Bernstein's Frobenius split: f = sum_{i<p} t^i f_i(t)^p with
+    f_i = f[i::p], so f(g) = sum_{i<p} g^i f_i(g)^p (Horner in g), each
+    nonzero f_i(g) recursed at precision N//p.  Short series, and p^2 > N+1
+    where the p branches cost more, go to the block ladder."""
+    n1 = f.shape[0]
+    if n1 <= _LEAF or p * p > n1:
+        return _compose_block(f, g, p)
+    m1 = (n1 - 1) // p + 1
+    acc = _zeros(n1)
+    for i in reversed(range(p)):
+        acc = _mul(acc, g, p)
+        fi = np.pad(f[i::p], (0, m1 - f[i::p].shape[0]))
+        if fi.any():
+            acc[::p] = (acc[::p] + _compose(fi, g[:m1], p)) % p
     return acc
 
 
@@ -161,9 +190,11 @@ class Series:
 
     def __init__(self, p, trunc, coeffs):
         check_prime(p)
-        if not isinstance(trunc, int) or isinstance(trunc, bool) or trunc < 0:
-            raise ValueError(f"truncation order must be a non-negative int, got {trunc!r}")
-        arr = np.asarray(coeffs, dtype=_DT) % p
+        _check_trunc(trunc)
+        try:
+            arr = np.asarray(coeffs, dtype=_DT) % p
+        except OverflowError:   # Python ints beyond int64: reduce them first
+            arr = np.asarray([c % p for c in coeffs], dtype=_DT)
         if arr.ndim != 1 or arr.shape[0] > trunc + 1:
             raise ValueError(
                 f"expected at most {trunc + 1} coefficients, got shape {arr.shape}")
@@ -205,6 +236,7 @@ class Series:
     def from_terms(cls, p, trunc, terms):
         """Build from {exponent: coefficient} (or an iterable of pairs)."""
         items = terms.items() if hasattr(terms, "items") else terms
+        _check_trunc(trunc)
         arr = _zeros(trunc + 1)
         for e, c in items:
             if not 0 <= e <= trunc:
@@ -324,16 +356,9 @@ class Series:
         self._check_context(other)
         if other.coeffs[0] != 0:
             raise NonzeroConstant("inner series of a composition must have f(0) = 0")
-        return self._new(_compose_block(self.coeffs, other.coeffs, self.p))
+        return self._new(_compose(self.coeffs, other.coeffs, self.p))
 
     __call__ = compose
-
-    def compose_horner(self, other):
-        """Reference Horner-ladder composition; bit-identical to compose()."""
-        self._check_context(other)
-        if other.coeffs[0] != 0:
-            raise NonzeroConstant("inner series of a composition must have f(0) = 0")
-        return self._new(_compose_horner(self.coeffs, other.coeffs, self.p))
 
     def reversion(self):
         """Compositional inverse: g with self(g) = g(self) = t."""
@@ -348,16 +373,18 @@ class Series:
         Computed as the truncation of sum_i self^(2^i); the sum stops once
         the valuation of the power exceeds N, and the result telescopes:
         s^2 + s recovers self exactly because the tail square drops out.
+        Each square is a coefficient spread, so the root costs O(N log N).
         """
         if self.p != 2:
             raise WrongCharacteristic("s^2 + s = f solvable this way only for p = 2")
         if self.coeffs[0] != 0:
             raise NonzeroConstant("right-hand side must have constant term zero")
-        s = _zeros(self.trunc + 1)
+        n1 = self.trunc + 1
+        s = _zeros(n1)
         power = self.coeffs
         while np.any(power):
-            s = (s + power) % 2
-            power = _mul(power, power, 2)
+            s ^= power
+            power = _frobenius(power, 2, n1)
         return self._new(s)
 
     def nth_root(self, m):
@@ -420,8 +447,7 @@ class Series:
             trunc = int(head[1][2:])
         except ValueError:
             raise ValueError(f"malformed header {lines[0]!r}") from None
-        if trunc < 0:
-            raise ValueError(f"negative truncation order {trunc}")
+        _check_trunc(trunc)
         data = lines[1].split()
         if data == ["0"]:
             return cls(p, trunc, ())

@@ -2,7 +2,10 @@
 
 Every generator takes an explicit random.Random so each test controls its
 own seed.  naive_product is a reference oracle: a plain double loop over
-Python ints, deliberately independent of the numpy kernel it checks.
+Python ints, deliberately independent of the numpy kernel it checks.  The
+other oracles are the slow, obvious algorithms the library no longer runs:
+the Horner ladder for composition and the plain-squaring sum for
+Artin-Schreier roots.
 """
 
 import contextlib
@@ -71,11 +74,34 @@ def naive_product(f, g):
 
 
 def naive_power(f, k):
-    """Repeated naive_product; oracle for small powers."""
+    """Square-and-multiply over naive_product; the power oracle."""
     out = Series.one(f.p, f.trunc)
-    for _ in range(k):
-        out = naive_product(out, f)
+    while k:
+        if k & 1:
+            out = naive_product(out, f)
+        k >>= 1
+        if k:
+            f = naive_product(f, f)
     return out
+
+
+def horner_compose(f, g):
+    """f(g) by the Horner ladder, N series products; the composition oracle."""
+    n = f.trunc
+    acc = Series(f.p, n, [f[n]])
+    for k in range(n - 1, -1, -1):
+        acc = acc * g + f[k]
+    return acc
+
+
+def summed_artin_schreier_root(f):
+    """sum_i f^(2^i) with every square a full product; the root oracle for
+    s^2 + s = f in characteristic 2 (f(0) = 0)."""
+    acc = Series.zero(2, f.trunc)
+    while not f.is_zero():
+        acc = acc + f
+        f = naive_product(f, f)
+    return acc
 
 
 def run_cli(argv):

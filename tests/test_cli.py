@@ -1,5 +1,5 @@
 from nottingham import identity, sigma_closed
-from nottingham.series import Series
+from nottingham.series import MAX_TRUNC, Series
 
 from support import run_cli
 
@@ -41,6 +41,32 @@ def test_sigma_usage_errors():
     assert run_cli(["sigma"])[0] == 2
     assert run_cli(["sigma", "--trunc", "1"])[0] == 2
     assert run_cli(["sigma", "--trunc", "62", "--method", "bogus"])[0] == 2
+
+
+def test_sigma_at_lowest_precisions():
+    for n in ("2", "3"):
+        code, out, err = run_cli(["sigma", "--trunc", n])
+        assert (code, err) == (0, "")
+        assert Series.from_text(out) == sigma_closed(int(n)).series
+
+
+def test_precision_cap_is_a_usage_error(tmp_path):
+    huge = write(tmp_path / "huge.txt", f"p=2 N={10 ** 15}\n1:1 3:1\n")
+    for argv in (
+        ["depth", "--in", huge],
+        ["order", "--in", huge],
+        ["sigma", "--trunc", str(10 ** 15)],
+        ["verify", "--trunc", str(MAX_TRUNC + 1)],
+        ["klopsch", "-p", "3", "-m", "1", "-a", "1", "--trunc", str(10 ** 15)],
+    ):
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, ""), argv
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), argv
+
+
+def test_oversized_coefficients_are_reduced(tmp_path):
+    f = write(tmp_path / "f.txt", f"p=3 N=4\n1:1 2:{10 ** 30}\n")
+    assert run_cli(["depth", "--in", f]) == (0, "1\n", "")
 
 
 def test_klopsch_byte_exact():

@@ -81,6 +81,12 @@ def test_schreier_root_below_valuation_is_zero():
     assert schreier_root(2).is_zero()
 
 
+def test_lowest_precision_with_nonzero_root():
+    # at N = 3 the right-hand side t^3 + t^4 truncates to t^3
+    assert schreier_root(3) == Series.from_terms(2, 3, {3: 1})
+    assert sigma_algebraic(3) == sigma_relation(3) == sigma_closed(3)
+
+
 def test_schreier_root_satisfies_equation():
     for n in (16, 100, 1024):
         s = schreier_root(n)

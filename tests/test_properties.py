@@ -5,6 +5,7 @@ import random
 from nottingham.series import Series
 
 from support import (
+    horner_compose,
     naive_product,
     random_invertible,
     random_no_constant,
@@ -76,7 +77,7 @@ def test_block_compose_bitmatches_horner_widely():
         n = rng.randrange(0, 70)
         f = random_series(rng, p, n)
         g = random_no_constant(rng, p, n)
-        assert f.compose(g) == f.compose_horner(g)
+        assert f.compose(g) == horner_compose(f, g)
 
 
 def test_mul_matches_naive_oracle_large_prime():

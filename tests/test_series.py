@@ -12,9 +12,10 @@ from nottingham import (
     NotInvertible,
     WrongCharacteristic,
 )
-from nottingham.series import Series
+from nottingham.series import MAX_TRUNC, Series
 
 from support import (
+    horner_compose,
     naive_power,
     naive_product,
     random_invertible,
@@ -46,6 +47,24 @@ def test_constructor_rejects_excess_coefficients():
 def test_constructor_rejects_bad_trunc():
     with pytest.raises(ValueError):
         Series(2, -1, [])
+
+
+def test_precision_cap():
+    assert Series.zero(2, MAX_TRUNC).trunc == MAX_TRUNC
+    for build in (
+        lambda: Series(2, MAX_TRUNC + 1, ()),
+        lambda: Series.zero(2, 10 ** 15),
+        lambda: Series.from_terms(2, 10 ** 15, {1: 1}),
+        lambda: Series.from_text(f"p=2 N={10 ** 15}\n1:1\n"),
+        lambda: Series.from_text(f"p=2 N={MAX_TRUNC + 1}\n0\n"),
+    ):
+        with pytest.raises(ValueError):
+            build()
+
+
+def test_constructor_reduces_oversized_ints():
+    assert Series(2, 5, [10 ** 30]) == Series.zero(2, 5)
+    assert Series(3, 2, [0, 10 ** 30, -(10 ** 40) - 1]) == Series(3, 2, [0, 1, 1])
 
 
 def test_from_terms_rejects_out_of_range_exponent():
@@ -200,7 +219,7 @@ def test_compose_block_matches_horner():
             n = rng.randrange(0, 40)
             f = random_series(rng, p, n)
             g = random_no_constant(rng, p, n)
-            assert f.compose(g) == f.compose_horner(g)
+            assert f.compose(g) == horner_compose(f, g)
 
 
 def test_call_is_compose():
