@@ -10,6 +10,11 @@ from .errors import ZeroInverse
 PRIME_CAP = 257
 
 
+def _is_int(x):
+    """True for a Python int that is not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def check_prime(p):
     """Return p unchanged if it is a prime with 2 <= p <= 257.
 
@@ -17,7 +22,7 @@ def check_prime(p):
     primes outside the supported range.  Deterministic trial division is
     exact for every value this cap allows.
     """
-    if not isinstance(p, int) or isinstance(p, bool):
+    if not _is_int(p):
         raise TypeError(f"characteristic must be an int, got {type(p).__name__}")
     if p < 2 or p > PRIME_CAP:
         raise ValueError(f"characteristic {p} outside supported range [2, {PRIME_CAP}]")
@@ -44,7 +49,7 @@ class FieldElement:
             if other.p != self.p:
                 raise ValueError(f"mixed moduli {self.p} and {other.p}")
             return other.value
-        if isinstance(other, int) and not isinstance(other, bool):
+        if _is_int(other):
             return other % self.p
         return None
 
@@ -80,7 +85,7 @@ class FieldElement:
         return FieldElement(-self.value, self.p)
 
     def __pow__(self, e):
-        if not isinstance(e, int) or isinstance(e, bool):
+        if not _is_int(e):
             return NotImplemented
         if e < 0:
             raise ValueError("negative exponent; use inv() and a positive power")
@@ -93,7 +98,7 @@ class FieldElement:
         return FieldElement(pow(self.value, -1, self.p), self.p)
 
     def __truediv__(self, other):
-        if isinstance(other, int) and not isinstance(other, bool):
+        if _is_int(other):
             other = FieldElement(other, self.p)
         if not isinstance(other, FieldElement):
             return NotImplemented
@@ -102,7 +107,7 @@ class FieldElement:
     def __eq__(self, other):
         if isinstance(other, FieldElement):
             return self.p == other.p and self.value == other.value
-        if isinstance(other, int) and not isinstance(other, bool):
+        if _is_int(other):
             return self.value == other % self.p
         return NotImplemented
 

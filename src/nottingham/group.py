@@ -12,9 +12,11 @@ distinguished depth INFINITE_DEPTH so callers can branch on it.
 
 import math
 
+import numpy as np
+
 from .errors import BadPrecision, NotCoprime, NotNormalized, ZeroParameter
-from .field import FieldElement, check_prime
-from .series import Series
+from .field import FieldElement, _is_int, check_prime
+from .series import Series, _check_trunc, _substitute
 
 INFINITE_DEPTH = math.inf
 
@@ -33,7 +35,7 @@ class GroupElement:
 
     @classmethod
     def identity(cls, p, trunc):
-        if not isinstance(trunc, int) or isinstance(trunc, bool) or trunc < 1:
+        if not _is_int(trunc) or trunc < 1:
             raise BadPrecision(f"identity needs truncation order >= 1, got {trunc!r}")
         return cls(Series.gen(p, trunc))
 
@@ -52,7 +54,7 @@ class GroupElement:
         return GroupElement(self.series.compose(other.series))
 
     def __pow__(self, k):
-        if not isinstance(k, int) or isinstance(k, bool):
+        if not _is_int(k):
             return NotImplemented
         if k < 0:
             raise ValueError("negative powers: use inverse() first")
@@ -111,7 +113,7 @@ def order_mod_truncation(f, cap=None):
         raise TypeError(f"expected a GroupElement, got {type(f).__name__}")
     if cap is None:
         cap = f.p ** 6
-    if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
+    if not _is_int(cap) or cap < 1:
         raise ValueError(f"cap must be a positive int, got {cap!r}")
     k = 1
     g = f
@@ -129,23 +131,28 @@ def klopsch_rep(p, m, a, trunc):
     """The order-p element t * (1 - a*t^m)^(-1/m), for gcd(m, p) = 1, a != 0.
 
     One representative per conjugacy class of order-p elements, indexed by
-    the depth m (prime to p) and the parameter a in F_p*.  The exponent
-    -1/m is realized operationally: invert the unit 1 - a*t^m, then take
-    its m-th root.  The leading correction is (a/m) * t^(m+1), so the depth
-    is exactly m, and the p-th compositional power is the identity.
+    the depth m (prime to p) and the parameter a in F_p*, an int or a
+    FieldElement.  The exponent -1/m is realized operationally, in x = t^m
+    at precision N // m: invert 1 - a*x, take the m-th root, spread x to
+    t^m and shift one place for the factor t.  The leading correction is
+    (a/m) * t^(m+1), so the depth is exactly m; the p-th power is the identity.
     """
     check_prime(p)
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
+    if not _is_int(m) or m < 1:
         raise ValueError(f"depth index must be a positive int, got {m!r}")
     if m % p == 0:
         raise NotCoprime(f"depth index {m} is divisible by p = {p}")
-    a_val = int(a) % p if not isinstance(a, FieldElement) else a.value
-    if isinstance(a, FieldElement) and a.p != p:
-        raise ValueError(f"parameter lives in F_{a.p}, expected F_{p}")
+    if isinstance(a, FieldElement) and a.p == p:
+        a_val = a.value
+    elif _is_int(a):
+        a_val = a % p
+    else:
+        raise ValueError(f"parameter must be an int or an element of F_{p}, got {a!r}")
     if a_val == 0:
         raise ZeroParameter("parameter a must be a nonzero field element")
-    if not isinstance(trunc, int) or isinstance(trunc, bool) or trunc < m + 1:
+    if not _is_int(trunc) or trunc < m + 1:
         raise BadPrecision(f"need truncation order >= {m + 1} to see depth {m}")
-    base = Series.from_terms(p, trunc, {0: 1, m: -a_val})
-    unit = base.reciprocal().nth_root(m)
-    return GroupElement(Series.gen(p, trunc) * unit)
+    _check_trunc(trunc)     # before anything of length N is allocated
+    u = Series(p, trunc // m, (1, -a_val)).reciprocal().nth_root(m)
+    t_u = np.concatenate(([0], _substitute(u.coeffs, m, trunc)))     # t * u(t^m)
+    return GroupElement(Series(p, trunc, t_u))

@@ -44,6 +44,7 @@ computed here.
 from dataclasses import dataclass, replace
 
 from .errors import BadPrecision, WrongCharacteristic
+from .field import _is_int
 from .group import GroupElement
 from .series import MAX_TRUNC, Series
 
@@ -62,8 +63,7 @@ DEFAULT_PRECISION = 1024
 def sigma_support(trunc):
     """Nonzero exponents of the closed form, ascending: {1, 2} and all
     6*2^j + 2*l <= trunc with j >= 0, 0 <= l < 2^j."""
-    if (not isinstance(trunc, int) or isinstance(trunc, bool)
-            or not 2 <= trunc <= MAX_TRUNC):
+    if not _is_int(trunc) or not 2 <= trunc <= MAX_TRUNC:
         raise BadPrecision(f"need truncation order in [2, {MAX_TRUNC}], got {trunc!r}")
     exps = [1, 2]
     j = 0
@@ -87,7 +87,7 @@ def sigma_closed(trunc):
 def schreier_root(trunc):
     """The valuation-3 root s of s^2 + s = t^3 + t^4 over F_2, that is
     Series.artin_schreier_root of t^3 + t^4 truncated at N."""
-    if not isinstance(trunc, int) or isinstance(trunc, bool) or trunc < 0:
+    if not _is_int(trunc) or trunc < 0:
         raise BadPrecision(f"need a non-negative truncation order, got {trunc!r}")
     rhs = {e: 1 for e in (3, 4) if e <= trunc}      # t^3 + t^4, truncated
     return Series.from_terms(2, trunc, rhs).artin_schreier_root()
@@ -95,7 +95,7 @@ def schreier_root(trunc):
 
 def relation_root(trunc):
     """The valuation-3 root w = s/(1+t) of w + (1+t)*w^2 + t^3 = 0 over F_2."""
-    if not isinstance(trunc, int) or isinstance(trunc, bool) or trunc < 0:
+    if not _is_int(trunc) or trunc < 0:
         raise BadPrecision(f"need a non-negative truncation order, got {trunc!r}")
     if trunc < 1:
         return Series.zero(2, trunc)
@@ -105,7 +105,7 @@ def relation_root(trunc):
 
 def sigma_algebraic(trunc):
     """The same element assembled as t*r + s*r^2, r = 1/(1+t)."""
-    if not isinstance(trunc, int) or isinstance(trunc, bool) or trunc < 2:
+    if not _is_int(trunc) or trunc < 2:
         raise BadPrecision(f"need truncation order >= 2, got {trunc!r}")
     t = Series.gen(2, trunc)
     r = (1 + t).reciprocal()
@@ -114,7 +114,7 @@ def sigma_algebraic(trunc):
 
 def sigma_relation(trunc):
     """The same element assembled as (t + w)*r, r = 1/(1+t)."""
-    if not isinstance(trunc, int) or isinstance(trunc, bool) or trunc < 2:
+    if not _is_int(trunc) or trunc < 2:
         raise BadPrecision(f"need truncation order >= 2, got {trunc!r}")
     t = Series.gen(2, trunc)
     r = (1 + t).reciprocal()
@@ -147,7 +147,7 @@ class SigmaBundle:
 
 
 def sigma_bundle(trunc):
-    if not isinstance(trunc, int) or isinstance(trunc, bool) or trunc < 8:
+    if not _is_int(trunc) or trunc < 8:
         raise BadPrecision(f"need truncation order >= 8, got {trunc!r}")
     return SigmaBundle(
         sigma_closed=sigma_closed(trunc),

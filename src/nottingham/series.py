@@ -11,8 +11,9 @@ All arithmetic is exact integer arithmetic; nothing here touches floating
 point.  A product is one int64 convolution reduced mod p.  Over F_p a p-th
 power is a coefficient spread, f(t)^p = f(t^p), which p-th powers,
 Artin-Schreier roots and composition use.  Composition is Bernstein's
-Frobenius split, O(p*M(N)*log_p N) for M(N) the cost of one product, with
-a square-root block ladder (about 2*sqrt(N) products) at its leaves.
+Frobenius split, O(p*M(N)*log_p N) for M(N) one product's cost, with a
+block ladder (about 2*sqrt(N) products) at its leaves.  Reciprocals, m-th
+roots and reversion are Newton doublings, reversion with elimination leaves.
 
 Values are immutable after construction and every operation is a pure
 function of its inputs, so Series objects are safe to share across threads.
@@ -32,7 +33,7 @@ from .errors import (
     NotInvertible,
     WrongCharacteristic,
 )
-from .field import check_prime
+from .field import _is_int, check_prime
 
 _DT = np.int64
 
@@ -40,11 +41,11 @@ _DT = np.int64
 # it caps what a hostile header can allocate and keeps int64 sums exact:
 # (N+1)*(p-1)^2 < 2^63, as it is at most about 2^36 (N = 2^20, p = 257).
 MAX_TRUNC = 2 ** 20
-_LEAF = 128     # f of at most this many coefficients composes by the block ladder
+_LEAF = 128     # series this short compose by the block ladder and revert by elimination
 
 
 def _check_trunc(trunc):
-    if not isinstance(trunc, int) or isinstance(trunc, bool) or not 0 <= trunc <= MAX_TRUNC:
+    if not _is_int(trunc) or not 0 <= trunc <= MAX_TRUNC:
         raise ValueError(
             f"truncation order must be an int in [0, {MAX_TRUNC}], got {trunc!r}")
 
@@ -71,8 +72,8 @@ def _mul(a, b, p):
     return out
 
 
-def _frobenius(a, q, n1):
-    """a(t)^q = a(t^q) mod t^n1 for q a power of p, as c^p = c in F_p."""
+def _substitute(a, q, n1):
+    """a(t^q) mod t^n1, any q >= 1: a(t)^q when q is a power of p (c^p = c)."""
     out = _zeros(n1)
     out[::q] = a[:(n1 - 1) // q + 1]
     return out
@@ -92,7 +93,7 @@ def _pow(a, k, p):
         k >>= 1
         if k:
             base = _mul(base, base, p)
-    return _frobenius(out, q, n1) if q > 1 else out
+    return _substitute(out, q, n1) if q > 1 else out
 
 
 def _reciprocal(a, p):
@@ -154,21 +155,13 @@ def _compose(f, g, p):
     return acc
 
 
-def _reversion(a, p):
-    """Compositional inverse by degree-by-degree elimination.
-
-    Solves sum_k g_k a^k = t one coefficient at a time: the t^n coefficient
-    of the running sum pins g_n via the unit pivot a_1^n.  No derivatives,
-    so the method is characteristic-agnostic.
-    """
+def _eliminate(a, p):
+    """Reversion by degree-by-degree elimination, about n1 products: the t^n
+    coefficient of the running sum of g_k a^k = t pins g_n (pivot a_1^n)."""
     n1 = a.shape[0]
-    if n1 < 2 or a[0] != 0 or a[1] == 0:
-        raise NotInvertible("compositional inverse needs f(0) = 0 and f_1 != 0")
     inv_f1 = pow(int(a[1]), -1, p)
     g = _zeros(n1)
     g[1] = inv_f1
-    if n1 == 2:
-        return g
     apow = a.copy()                 # a^n as n advances
     acc = (inv_f1 * apow) % p       # sum of g_k a^k over known k
     inv_pow = inv_f1                # 1 / a_1^n
@@ -180,6 +173,22 @@ def _reversion(a, p):
             gn = (-c * inv_pow) % p
             g[n] = gn
             acc = (acc + gn * apow) % p
+    return g
+
+
+def _reversion(a, p):
+    """Newton iteration g <- g - (f(g) - t)/f'(g), doubling the correct
+    coefficients of g in any characteristic: f(g + e) = f(g) + f'(g)*e
+    mod e^2, and f'(g)(0) = f_1 is a unit.  Short series: elimination."""
+    n1 = a.shape[0]
+    if n1 <= _LEAF:
+        return _eliminate(a, p)
+    h, d = (n1 + 1) // 2, n1 // 2
+    g = np.pad(_reversion(a[:h], p), (0, d))
+    df = (a[1:d + 1] * np.arange(1, d + 1)) % p     # f' mod t^d
+    # f(g) = t mod t^h, so f(g) - t is t^h times f(g)'s tail from t^h
+    corr = _mul(_compose(a, g, p)[h:], _reciprocal(_compose(df, g[:d], p), p), p)
+    g[h:] = (g[h:] - corr) % p
     return g
 
 
@@ -303,7 +312,7 @@ class Series:
         if isinstance(other, Series):
             self._check_context(other)
             return self._new((self.coeffs + other.coeffs) % self.p)
-        if isinstance(other, int) and not isinstance(other, bool):
+        if _is_int(other):
             arr = self.coeffs.copy()
             arr[0] = (arr[0] + other) % self.p
             return self._new(arr)
@@ -318,12 +327,12 @@ class Series:
         if isinstance(other, Series):
             self._check_context(other)
             return self._new((self.coeffs - other.coeffs) % self.p)
-        if isinstance(other, int) and not isinstance(other, bool):
+        if _is_int(other):
             return self + (-other)
         return NotImplemented
 
     def __rsub__(self, other):
-        if isinstance(other, int) and not isinstance(other, bool):
+        if _is_int(other):
             return (-self) + other
         return NotImplemented
 
@@ -331,14 +340,14 @@ class Series:
         if isinstance(other, Series):
             self._check_context(other)
             return self._new(_mul(self.coeffs, other.coeffs, self.p))
-        if isinstance(other, int) and not isinstance(other, bool):
+        if _is_int(other):
             return self._new((self.coeffs * (other % self.p)) % self.p)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        if not isinstance(k, int) or isinstance(k, bool):
+        if not _is_int(k):
             return NotImplemented
         if k < 0:
             raise ValueError("negative powers: take reciprocal() first")
@@ -362,6 +371,8 @@ class Series:
 
     def reversion(self):
         """Compositional inverse: g with self(g) = g(self) = t."""
+        if self.trunc < 1 or self.coeffs[0] != 0 or self.coeffs[1] == 0:
+            raise NotInvertible("compositional inverse needs f(0) = 0 and f_1 != 0")
         return self._new(_reversion(self.coeffs, self.p))
 
     # ------------------------------------------------------------------
@@ -384,32 +395,28 @@ class Series:
         power = self.coeffs
         while np.any(power):
             s ^= power
-            power = _frobenius(power, 2, n1)
+            power = _substitute(power, 2, n1)
         return self._new(s)
 
     def nth_root(self, m):
         """The unique u with u(0) = 1 and u^m = self, for gcd(m, p) = 1.
 
-        Degree-by-degree undetermined coefficients: at each exponent n the
-        new coefficient solves a linear equation whose pivot is m, a unit.
+        Newton doubling from u = 1, valid as m is a unit mod p: each step
+        u <- u + (self/u^(m-1) - u)/m doubles the precision of the root.
         """
-        if not isinstance(m, int) or isinstance(m, bool) or m < 1:
+        if not _is_int(m) or m < 1:
             raise ValueError(f"root index must be a positive int, got {m!r}")
         if m % self.p == 0:
             raise NotCoprime(f"root index {m} is divisible by p = {self.p}")
         if self.coeffs[0] != 1:
             raise BadRoot("m-th roots are extracted from unit series with f(0) = 1")
-        if m == 1:
-            return self
-        p = self.p
+        p, n1 = self.p, self.trunc + 1
         inv_m = pow(m % p, -1, p)
-        u = _zeros(self.trunc + 1)
-        u[0] = 1
-        for n in range(1, self.trunc + 1):
-            w = _pow(u, m, p)
-            diff = (int(self.coeffs[n]) - int(w[n])) % p
-            if diff:
-                u[n] = (diff * inv_m) % p
+        u = np.ones(1, dtype=_DT)
+        while u.shape[0] < n1:
+            u = np.pad(u, (0, min(2 * u.shape[0], n1) - u.shape[0]))
+            q = _mul(self.coeffs[:u.shape[0]], _reciprocal(_pow(u, m - 1, p), p), p)
+            u = (u + inv_m * (q - u)) % p
         return self._new(u)
 
     # ------------------------------------------------------------------
@@ -417,7 +424,7 @@ class Series:
 
     def truncate(self, new_trunc):
         """The same series in F_p[t]/(t^(M+1)) for M <= N."""
-        if not isinstance(new_trunc, int) or isinstance(new_trunc, bool):
+        if not _is_int(new_trunc):
             raise ValueError(f"truncation order must be an int, got {new_trunc!r}")
         if new_trunc < 0 or new_trunc > self.trunc:
             raise BadTruncation(

@@ -4,8 +4,8 @@ Every generator takes an explicit random.Random so each test controls its
 own seed.  naive_product is a reference oracle: a plain double loop over
 Python ints, deliberately independent of the numpy kernel it checks.  The
 other oracles are the slow, obvious algorithms the library no longer runs:
-the Horner ladder for composition and the plain-squaring sum for
-Artin-Schreier roots.
+the Horner ladder for composition, the plain-squaring sum for
+Artin-Schreier roots and the coefficient-at-a-time m-th root.
 """
 
 import contextlib
@@ -102,6 +102,24 @@ def summed_artin_schreier_root(f):
         acc = acc + f
         f = naive_product(f, f)
     return acc
+
+
+def coefficientwise_nth_root(f, m):
+    """u with u(0) = 1 and u^m = f, one coefficient at a time: at each
+    exponent e the new u_e solves a linear equation with the unit pivot m,
+    read off a power of the root so far; the m-th root oracle.  The power
+    is taken to m mod q for a power q > e of p, since u^q = 1 mod t^(e+1)
+    for u(0) = 1, so a huge m costs no more than a small one."""
+    p, n = f.p, f.trunc
+    inv_m = pow(m % p, -1, p)
+    u = [1] + [0] * n
+    q = p
+    for e in range(1, n + 1):
+        while q <= e:
+            q *= p
+        w = Series(p, e, u[:e + 1]) ** (m % q)
+        u[e] = (f[e] - w[e]) * inv_m % p
+    return Series(p, n, u)
 
 
 def run_cli(argv):

@@ -1,20 +1,26 @@
 """Fast kernel paths against the slow oracles in support.py.
 
 Composition runs the Frobenius split above the block-ladder leaf, p-th
-powers and Artin-Schreier squares run as coefficient spreads; each is
-checked for bit-equality against an algorithm that does none of that.
+powers and Artin-Schreier squares run as coefficient spreads, m-th roots
+and reversion (above the elimination leaf) run Newton iteration, and
+klopsch_rep works in x = t^m; each is checked for bit-equality against an
+algorithm that does none of that.
 """
 
 import random
 
 import pytest
 
-from nottingham.series import _LEAF, Series
+from nottingham.group import GroupElement, klopsch_rep
+from nottingham.series import _LEAF, Series, _eliminate
 
 from support import (
+    coefficientwise_nth_root,
     horner_compose,
     naive_power,
+    random_invertible,
     random_no_constant,
+    random_one_unit,
     random_series,
     summed_artin_schreier_root,
 )
@@ -78,3 +84,40 @@ def test_artin_schreier_matches_summation():
     for n in range(41):
         for f in (random_no_constant(rng, 2, n), sparse_inner(rng, 2, n)):
             assert f.artin_schreier_root() == summed_artin_schreier_root(f)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_nth_root_matches_coefficientwise(p):
+    rng = random.Random(440 + p)
+    ms = sorted({m for m in (1, 2, p - 1, p + 1, 11, 10 ** 30 + 1) if m % p})
+    for n in EDGE_N + tuple(rng.randrange(3, 200) for _ in range(2)):
+        f = random_one_unit(rng, p, n)
+        for m in ms:
+            assert f.nth_root(m) == coefficientwise_nth_root(f, m), (p, n, m)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_reversion_matches_elimination(p):
+    rng = random.Random(450 + p)
+    for n in (_LEAF - 1, _LEAF, _LEAF + 1, 2 * _LEAF + 1, 1000):
+        f = random_invertible(rng, p, n)
+        assert f.reversion() == Series(p, n, _eliminate(f.coeffs, p)), (p, n)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_reversion_roundtrip_under_horner(p):
+    rng = random.Random(460 + p)
+    for n in (1, 2, _LEAF + 1, rng.randrange(_LEAF + 2, 301)):
+        f = random_invertible(rng, p, n)
+        g, t = f.reversion(), Series.gen(p, n)
+        assert horner_compose(f, g) == t and horner_compose(g, f) == t, (p, n)
+
+
+def test_klopsch_rep_matches_unspread_root():
+    for p in (2, 3, 5):
+        for m in (m for m in range(1, 13) if m % p):
+            for a in range(1, p):
+                for n in (m + 1, 200):
+                    unit = Series.from_terms(p, n, {0: 1, m: -a}).reciprocal().nth_root(m)
+                    expected = GroupElement(Series.gen(p, n) * unit)
+                    assert klopsch_rep(p, m, a, n) == expected, (p, m, a, n)

@@ -249,6 +249,19 @@ def test_klopsch_accepts_field_element_parameter():
         klopsch_rep(5, 2, FieldElement(1, 3), 10)
 
 
+@pytest.mark.parametrize("p, m, a", [(2, 1, 1.5), (3, 1, True), (3, 1, "1"), (3, 2, None)],
+                         ids=["float", "bool", "str", "none"])
+def test_klopsch_rejects_non_integer_parameter(p, m, a):
+    with pytest.raises(ValueError):
+        klopsch_rep(p, m, a, 10)
+
+
+def test_klopsch_rejects_precision_above_cap():
+    # the root is taken at precision N // m, which is within the cap here
+    with pytest.raises(ValueError):
+        klopsch_rep(2, 10 ** 12 + 1, 1, 10 ** 15)
+
+
 def test_klopsch_guards():
     with pytest.raises(NotCoprime):
         klopsch_rep(2, 4, 1, 10)

@@ -1,0 +1,68 @@
+"""Property-based checks of the Newton paths and the group law.
+
+Derandomized, so every run draws the same examples.  Each property holds
+for every prime and precision: m-th roots, reversion, group inverses and
+the order-p representatives, at p in {2, 3, 5, 7, 257} and N up to 300.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nottingham.group import GroupElement, klopsch_rep
+from nottingham.series import Series
+
+PRIMES = (2, 3, 5, 7, 257)
+FIXED = settings(derandomize=True, deadline=None, database=None, max_examples=25)
+
+
+@st.composite
+def series(draw, lowest):
+    """(p, N, Series) with the given leading coefficients, the rest drawn."""
+    p = draw(st.sampled_from(PRIMES))
+    n = draw(st.integers(len(lowest) - 1, 300))
+    rest = draw(st.lists(st.integers(0, p - 1), min_size=n + 1 - len(lowest),
+                         max_size=n + 1 - len(lowest)))
+    return p, n, Series(p, n, list(lowest) + rest)
+
+
+@FIXED
+@given(series(lowest=(1,)), st.integers(1, 40))
+def test_nth_root_power_is_input(pnf, m):
+    p, n, f = pnf
+    if m % p == 0:
+        m += 1
+    u = f.nth_root(m)
+    assert u[0] == 1
+    assert u ** m == f
+
+
+@FIXED
+@given(series(lowest=(0, 1)), st.integers(1, 256))
+def test_reversion_is_two_sided_inverse(pnf, f1):
+    p, n, f = pnf
+    f = (f1 % p or 1) * f
+    g, t = f.reversion(), Series.gen(p, n)
+    assert f.compose(g) == t
+    assert g.compose(f) == t
+
+
+@FIXED
+@given(series(lowest=(0, 1)))
+def test_group_inverse(pnf):
+    p, n, f = pnf
+    f = GroupElement(f)
+    ident = GroupElement.identity(p, n)
+    assert f * f.inverse() == ident
+    assert f.inverse() * f == ident
+
+
+@FIXED
+@given(st.sampled_from(PRIMES), st.integers(1, 40), st.integers(1, 256), st.integers(0, 300))
+def test_klopsch_rep_has_order_p_and_depth_m(p, m, a, extra):
+    if m % p == 0:
+        m += 1
+    a = a % p or 1
+    n = min(m + 1 + extra, 300)
+    rep = klopsch_rep(p, m, a, n)
+    assert rep.depth() == m
+    assert rep ** p == GroupElement.identity(p, n)
