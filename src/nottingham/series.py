@@ -8,18 +8,21 @@ precisions is an error rather than an implicit coercion, and truncating is
 the only way to lower precision.
 
 All arithmetic is exact integer arithmetic; nothing here touches floating
-point.  A product is one int64 convolution reduced mod p.  Over F_p a p-th
-power is a coefficient spread, f(t)^p = f(t^p), which p-th powers,
+point.  A product is one _conv: an int64 convolution, or Kronecker
+substitution (one big-int product of packed coefficients) if long.  Over F_p
+a p-th power is a coefficient spread, f(t)^p = f(t^p), which p-th powers,
 Artin-Schreier roots and composition use.  Composition is Bernstein's
-Frobenius split, O(p*M(N)*log_p N) for M(N) one product's cost, with a
-block ladder (about 2*sqrt(N) products) at its leaves.  Reciprocals, m-th
-roots and reversion are Newton doublings, reversion with elimination leaves.
+Frobenius split, O(p*M(N)*log_p N) for M(N) one product's cost, with
+block-ladder leaves (about 2*sqrt(N) products) sharing one set of powers of
+g.  Reciprocals, m-th roots and reversion are Newton doublings, reversion
+with elimination leaves.
 
 Values are immutable after construction and every operation is a pure
 function of its inputs, so Series objects are safe to share across threads.
 """
 
 import math
+from operator import index
 
 import numpy as np
 
@@ -38,10 +41,14 @@ from .field import _is_int, check_prime
 _DT = np.int64
 
 # Largest truncation order anywhere (Series, from_text, every CLI --trunc):
-# it caps what a hostile header can allocate and keeps int64 sums exact:
-# (N+1)*(p-1)^2 < 2^63, as it is at most about 2^36 (N = 2^20, p = 257).
+# it caps what a hostile header can allocate and bounds a product coefficient,
+# n*(p-1)^2 for n the shorter operand's length, by about 2^36 (N = 2^20, p =
+# 257): int64 sums are exact, and so is _conv's slot of 16, 32 or 64 bits.
 MAX_TRUNC = 2 ** 20
 _LEAF = 128     # series this short compose by the block ladder and revert by elimination
+# Shorter-operand length where 16-bit Kronecker slots overtake np.convolve
+# (2-vCPU Xeon); it grows with the cube of the slot width, as wider slots do.
+_KRONECKER = 80
 
 
 def _check_trunc(trunc):
@@ -54,8 +61,24 @@ def _zeros(n1):
     return np.zeros(n1, dtype=_DT)
 
 
+def _conv(a, b, p, n1):
+    """The first n1 < len(a) + len(b) coefficients of a*b mod p, for arrays
+    of canonical residues: np.convolve, or Kronecker substitution if long."""
+    if len(a) >= _KRONECKER <= len(b):     # wider slots only raise the crossover
+        n = min(len(a), len(b))
+        bound = n * (p - 1) ** 2
+        w = 2 if bound < 1 << 16 else 4 if bound < 1 << 32 else 8     # slot bytes
+        if n >= _KRONECKER * (w // 2) ** 3:
+            dt = f"<u{w}"
+            x = (int.from_bytes(a.astype(dt).tobytes(), "little")
+                 * int.from_bytes(b.astype(dt).tobytes(), "little"))
+            c = x.to_bytes((len(a) + len(b)) * w, "little")
+            return (np.frombuffer(c, dtype=dt, count=n1) % p).astype(_DT)
+    return np.convolve(a, b)[:n1] % p
+
+
 def _mul(a, b, p):
-    """Product of coefficient arrays in F_p[t]/(t^n1), n1 = len(a)."""
+    """Product in F_p[t]/(t^n1), n1 = len(a): _conv above the valuations."""
     n1 = a.shape[0]
     nza = np.flatnonzero(a)
     nzb = np.flatnonzero(b)
@@ -67,8 +90,7 @@ def _mul(a, b, p):
     if va + vb > n1 - 1:
         return out
     span = n1 - va - vb
-    conv = np.convolve(a[va:va + span], b[vb:vb + span])[:span]
-    out[va + vb:] = conv % p
+    out[va + vb:] = _conv(a[va:va + span], b[vb:vb + span], p, span)
     return out
 
 
@@ -107,33 +129,33 @@ def _reciprocal(a, p):
     while prec < n1:
         prec = min(2 * prec, n1)
         # g' = g*(2 - a*g) lifts a correct inverse mod t^k to mod t^(2k)
-        ag = np.convolve(a[:prec], g)[:prec] % p
-        corr = (-ag) % p
+        corr = (-_conv(a[:prec], g, p, prec)) % p
         corr[0] = (corr[0] + 2) % p
-        g = np.convolve(g, corr)[:prec] % p
+        g = _conv(g, corr, p, prec)
     return g
 
 
-def _compose_block(f, g, p):
-    """f(g) by square-root decomposition: split f into sqrt(N)-size blocks,
-    evaluate each against precomputed powers of g, then Horner over blocks
-    with multiplier g^m.  Bit-identical to the Horner ladder."""
-    n1 = f.shape[0]
+def _ladder(g, p, n1):
+    """The block ladder's rows g^0, ..., g^m mod t^n1, m = isqrt(n1)."""
     m = max(1, math.isqrt(n1))
-    nblocks = -(-n1 // m)
     pows = np.zeros((m + 1, n1), dtype=_DT)
     pows[0, 0] = 1
     for j in range(1, m + 1):
-        pows[j] = _mul(pows[j - 1], g, p)
-    gm = pows[m]
-    acc = None
-    for i in reversed(range(nblocks)):
+        pows[j] = _mul(pows[j - 1], g[:n1], p)
+    return pows
+
+
+def _compose_block(f, pows, p):
+    """f(g) by square-root decomposition, pows = _ladder(g, p, len(f)): split
+    f into blocks of m = len(pows) - 1 coefficients, evaluate each against
+    the powers of g, then Horner over blocks with multiplier g^m.
+    Bit-identical to the Horner ladder."""
+    n1 = f.shape[0]
+    m = pows.shape[0] - 1
+    acc = _zeros(n1)
+    for i in reversed(range(-(-n1 // m))):
         seg = f[i * m:(i + 1) * m]
-        block = (seg @ pows[:seg.shape[0]]) % p
-        if acc is None:
-            acc = block
-        else:
-            acc = (_mul(acc, gm, p) + block) % p
+        acc = (_mul(acc, pows[m], p) + seg @ pows[:seg.shape[0]]) % p
     return acc
 
 
@@ -141,17 +163,25 @@ def _compose(f, g, p):
     """f(g) by Bernstein's Frobenius split: f = sum_{i<p} t^i f_i(t)^p with
     f_i = f[i::p], so f(g) = sum_{i<p} g^i f_i(g)^p (Horner in g), each
     nonzero f_i(g) recursed at precision N//p.  Short series, and p^2 > N+1
-    where the p branches cost more, go to the block ladder."""
+    where the p branches cost more, go to the block ladder.  All leaves have
+    one length, so one _ladder of g, built here, serves them all."""
+    leaf = f.shape[0]
+    while leaf > _LEAF and p * p <= leaf:
+        leaf = (leaf - 1) // p + 1
+    return _split(f, g, p, _ladder(g, p, leaf))
+
+
+def _split(f, g, p, pows):
     n1 = f.shape[0]
-    if n1 <= _LEAF or p * p > n1:
-        return _compose_block(f, g, p)
+    if n1 == pows.shape[1]:
+        return _compose_block(f, pows, p)
     m1 = (n1 - 1) // p + 1
     acc = _zeros(n1)
     for i in reversed(range(p)):
         acc = _mul(acc, g, p)
         fi = np.pad(f[i::p], (0, m1 - f[i::p].shape[0]))
         if fi.any():
-            acc[::p] = (acc[::p] + _compose(fi, g[:m1], p)) % p
+            acc[::p] = (acc[::p] + _split(fi, g[:m1], p, pows)) % p
     return acc
 
 
@@ -200,13 +230,15 @@ class Series:
     def __init__(self, p, trunc, coeffs):
         check_prime(p)
         _check_trunc(trunc)
-        try:
-            arr = np.asarray(coeffs, dtype=_DT) % p
-        except OverflowError:   # Python ints beyond int64: reduce them first
-            arr = np.asarray([c % p for c in coeffs], dtype=_DT)
+        arr = np.asarray(coeffs)
         if arr.ndim != 1 or arr.shape[0] > trunc + 1:
             raise ValueError(
                 f"expected at most {trunc + 1} coefficients, got shape {arr.shape}")
+        if arr.dtype.kind not in "bi" and arr.size:  # ints of 64 bits or more, or no ints
+            arr = np.asarray([c % p if _is_int(c) else c for c in arr.tolist()])
+            if arr.dtype.kind != "i":
+                raise ValueError(f"coefficients must be integers, got dtype {arr.dtype}")
+        arr = arr.astype(_DT, copy=False) % p
         if arr.shape[0] < trunc + 1:
             arr = np.concatenate([arr, _zeros(trunc + 1 - arr.shape[0])])
         arr.flags.writeable = False
@@ -245,9 +277,14 @@ class Series:
     def from_terms(cls, p, trunc, terms):
         """Build from {exponent: coefficient} (or an iterable of pairs)."""
         items = terms.items() if hasattr(terms, "items") else terms
+        check_prime(p)
         _check_trunc(trunc)
         arr = _zeros(trunc + 1)
         for e, c in items:
+            try:
+                e, c = index(e), index(c)
+            except TypeError:
+                raise ValueError(f"terms must be int pairs, got {e!r}: {c!r}") from None
             if not 0 <= e <= trunc:
                 raise ValueError(f"exponent {e} outside [0, {trunc}]")
             arr[e] = c % p

@@ -5,11 +5,16 @@ own seed.  naive_product is a reference oracle: a plain double loop over
 Python ints, deliberately independent of the numpy kernel it checks.  The
 other oracles are the slow, obvious algorithms the library no longer runs:
 the Horner ladder for composition, the plain-squaring sum for
-Artin-Schreier roots and the coefficient-at-a-time m-th root.
+Artin-Schreier roots and the coefficient-at-a-time m-th root.  They
+multiply with convolve_product, one int64 convolution, which is the
+library's product kernel without Kronecker substitution, so they do not
+run the kernel they check.
 """
 
 import contextlib
 import io
+
+import numpy as np
 
 from nottingham.group import GroupElement
 from nottingham.series import Series
@@ -73,15 +78,21 @@ def naive_product(f, g):
     return Series(p, n, out)
 
 
-def naive_power(f, k):
-    """Square-and-multiply over naive_product; the power oracle."""
+def convolve_product(f, g):
+    """f*g as one int64 convolution reduced mod p, for the oracles below."""
+    return Series(f.p, f.trunc, np.convolve(f.coeffs, g.coeffs)[:f.trunc + 1] % f.p)
+
+
+def naive_power(f, k, product=naive_product):
+    """Square-and-multiply over naive_product (or another product); the
+    power oracle."""
     out = Series.one(f.p, f.trunc)
     while k:
         if k & 1:
-            out = naive_product(out, f)
+            out = product(out, f)
         k >>= 1
         if k:
-            f = naive_product(f, f)
+            f = product(f, f)
     return out
 
 
@@ -90,7 +101,7 @@ def horner_compose(f, g):
     n = f.trunc
     acc = Series(f.p, n, [f[n]])
     for k in range(n - 1, -1, -1):
-        acc = acc * g + f[k]
+        acc = convolve_product(acc, g) + f[k]
     return acc
 
 
@@ -117,7 +128,7 @@ def coefficientwise_nth_root(f, m):
     for e in range(1, n + 1):
         while q <= e:
             q *= p
-        w = Series(p, e, u[:e + 1]) ** (m % q)
+        w = naive_power(Series(p, e, u[:e + 1]), m % q, convolve_product)
         u[e] = (f[e] - w[e]) * inv_m % p
     return Series(p, n, u)
 

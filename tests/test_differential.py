@@ -1,23 +1,26 @@
 """Fast kernel paths against the slow oracles in support.py.
 
-Composition runs the Frobenius split above the block-ladder leaf, p-th
-powers and Artin-Schreier squares run as coefficient spreads, m-th roots
-and reversion (above the elimination leaf) run Newton iteration, and
-klopsch_rep works in x = t^m; each is checked for bit-equality against an
-algorithm that does none of that.
+Long products run Kronecker substitution, composition runs the Frobenius
+split above the block-ladder leaf, p-th powers and Artin-Schreier squares
+run as coefficient spreads, m-th roots and reversion (above the
+elimination leaf) run Newton iteration, and klopsch_rep works in x = t^m;
+each is checked for bit-equality against an algorithm that does none of
+that.
 """
 
 import random
 
+import numpy as np
 import pytest
 
 from nottingham.group import GroupElement, klopsch_rep
-from nottingham.series import _LEAF, Series, _eliminate
+from nottingham.series import _KRONECKER, _LEAF, Series, _conv, _eliminate
 
 from support import (
     coefficientwise_nth_root,
     horner_compose,
     naive_power,
+    naive_product,
     random_invertible,
     random_no_constant,
     random_one_unit,
@@ -41,6 +44,55 @@ def branchy_outer(rng, p, n):
     {0, p-1} (for p = 2: only the even branch survives)."""
     keep = {0, p - 1} if p > 2 else {0}
     return Series(p, n, [rng.randrange(p) if e % p in keep else 0 for e in range(n + 1)])
+
+
+# Kronecker crossover per prime at these lengths: 16-bit slots below
+# p = 257, 32-bit slots (crossover 2^3 times higher) at p = 257.
+CROSSOVER = {p: _KRONECKER * (8 if p == 257 else 1) for p in PRIMES}
+
+
+def residues(rng, p, n):
+    return np.array([rng.randrange(p) for _ in range(n)], dtype=np.int64)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_conv_matches_convolve_at_crossover(p):
+    rng = random.Random(470 + p)
+    for n in (CROSSOVER[p] - 1, CROSSOVER[p], CROSSOVER[p] + 1):
+        # equal lengths, the reciprocal's (a[:prec], g) shapes both ways, full product
+        for la, lb, n1 in ((n, n, n), (2 * n, n, 2 * n), (n, 2 * n, 2 * n), (n, n + 3, 2 * n + 2)):
+            a, b = residues(rng, p, la), residues(rng, p, lb)
+            assert np.array_equal(_conv(a, b, p, n1), np.convolve(a, b)[:n1] % p), (p, la, lb)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_mul_with_valuations_matches_naive(p):
+    rng = random.Random(480 + p)
+    for span in (CROSSOVER[p] - 1, CROSSOVER[p], CROSSOVER[p] + 1):
+        va, vb = rng.randint(1, 9), rng.randint(1, 9)
+        n = span + va + vb - 1
+        # f sparse above its valuation keeps the oracle cheap; the kernel
+        # still sees the whole span
+        terms = {e: rng.randrange(p) for e in rng.sample(range(va + 1, n + 1), 12)}
+        f = Series.from_terms(p, n, {va: 1, **terms})
+        g = Series(p, n, [0] * vb + [rng.randrange(1, p)]
+                   + [rng.randrange(p) for _ in range(n - vb)])
+        assert f * g == naive_product(f, g), (p, span)
+        assert g * f == naive_product(f, g), (p, span)
+
+
+# (p, n) on each side of every slot-width switch: n*(p-1)^2 reaches 2^16 at
+# p = 2, 3, 5, 7 and 2^32 at p = 257.
+SLOT_SWITCHES = [(2, 65535), (2, 65536), (3, 16383), (3, 16384), (5, 4095), (5, 4096),
+                 (7, 1820), (7, 1821), (257, 65535), (257, 65536)]
+
+
+@pytest.mark.parametrize("p, n", SLOT_SWITCHES)
+def test_conv_worst_case_fills_its_slots(p, n):
+    """All entries p-1: coefficient k < n of the square is (k+1)(p-1)^2,
+    the largest value a slot must hold, and (k+1) mod p."""
+    a = np.full(n, p - 1, dtype=np.int64)
+    assert np.array_equal(_conv(a, a, p, n), np.arange(1, n + 1) % p)
 
 
 @pytest.mark.parametrize("p", PRIMES)

@@ -1,8 +1,11 @@
-"""Property-based checks of the Newton paths and the group law.
+"""Property-based checks of the fast paths and the group law.
 
 Derandomized, so every run draws the same examples.  Each property holds
 for every prime and precision: m-th roots, reversion, group inverses and
-the order-p representatives, at p in {2, 3, 5, 7, 257} and N up to 300.
+the order-p representatives, at p in {2, 3, 5, 7, 257} and N up to 300;
+composition against the Horner ladder and associativity of the group law
+at p in {2, 3, 5, 7}, where N above 128 splits into several leaves that
+share one block ladder.
 """
 
 from hypothesis import given, settings
@@ -11,15 +14,18 @@ from hypothesis import strategies as st
 from nottingham.group import GroupElement, klopsch_rep
 from nottingham.series import Series
 
+from support import horner_compose
+
 PRIMES = (2, 3, 5, 7, 257)
+SMALL_PRIMES = (2, 3, 5, 7)
 FIXED = settings(derandomize=True, deadline=None, database=None, max_examples=25)
 
 
 @st.composite
-def series(draw, lowest):
+def series(draw, lowest, primes=PRIMES):
     """(p, N, Series) with the given leading coefficients, the rest drawn."""
-    p = draw(st.sampled_from(PRIMES))
-    n = draw(st.integers(len(lowest) - 1, 300))
+    p = draw(st.sampled_from(primes))
+    n = draw(st.integers(max(len(lowest) - 1, 0), 300))
     rest = draw(st.lists(st.integers(0, p - 1), min_size=n + 1 - len(lowest),
                          max_size=n + 1 - len(lowest)))
     return p, n, Series(p, n, list(lowest) + rest)
@@ -66,3 +72,19 @@ def test_klopsch_rep_has_order_p_and_depth_m(p, m, a, extra):
     rep = klopsch_rep(p, m, a, n)
     assert rep.depth() == m
     assert rep ** p == GroupElement.identity(p, n)
+
+
+@FIXED
+@given(series(lowest=(), primes=SMALL_PRIMES), st.data())
+def test_compose_matches_horner(pnf, data):
+    p, n, f = pnf
+    g = Series(p, n, [0] + data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n)))
+    assert f.compose(g) == horner_compose(f, g)
+
+
+@FIXED
+@given(st.sampled_from(SMALL_PRIMES), st.integers(1, 300), st.data())
+def test_group_law_is_associative(p, n, data):
+    f, g, h = (GroupElement(Series(p, n, [0, 1] + data.draw(
+        st.lists(st.integers(0, p - 1), min_size=n - 1, max_size=n - 1)))) for _ in range(3))
+    assert (f * g) * h == f * (g * h)

@@ -65,11 +65,29 @@ def test_precision_cap():
 def test_constructor_reduces_oversized_ints():
     assert Series(2, 5, [10 ** 30]) == Series.zero(2, 5)
     assert Series(3, 2, [0, 10 ** 30, -(10 ** 40) - 1]) == Series(3, 2, [0, 1, 1])
+    assert Series(3, 0, [2 ** 63]) == Series(3, 0, [2])     # numpy reads it as uint64
 
 
 def test_from_terms_rejects_out_of_range_exponent():
     with pytest.raises(ValueError):
         Series.from_terms(2, 4, {5: 1})
+
+
+@pytest.mark.parametrize("p, terms", [
+    (0, {1: 1}),        # not a prime: checked before any c % p
+    (2, {1.5: 1}),      # non-int exponent
+    (2, {1: 1.5}),      # non-integer coefficient, not truncated to 1
+], ids=["prime", "float-exponent", "float-coefficient"])
+def test_from_terms_rejects_bad_input(p, terms):
+    with pytest.raises(ValueError):
+        Series.from_terms(p, 5, terms)
+
+
+@pytest.mark.parametrize("coeffs", [[1.5], [1, 2.0], ["1"], [None]],
+                         ids=["float", "mixed-float", "str", "none"])
+def test_constructor_rejects_non_integer_coefficients(coeffs):
+    with pytest.raises(ValueError):
+        Series(2, 5, coeffs)
 
 
 def test_valuation_and_zero():
