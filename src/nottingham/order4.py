@@ -43,6 +43,8 @@ computed here.
 
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .errors import BadPrecision, WrongCharacteristic
 from .field import _is_int
 from .group import GroupElement
@@ -60,11 +62,24 @@ CHECK_NAMES = (
 DEFAULT_PRECISION = 1024
 
 
+def _check_precision(trunc, least):
+    if not _is_int(trunc) or not least <= trunc <= MAX_TRUNC:
+        raise BadPrecision(f"need truncation order in [{least}, {MAX_TRUNC}], got {trunc!r}")
+
+
+def _r(trunc):
+    """r = 1/(1+t) = sum_k (-t)^k, which over F_2 is the all-ones series."""
+    return Series(2, trunc, np.ones(trunc + 1, dtype=np.int64))
+
+
+def _algebraic(s, r):
+    return GroupElement(Series.gen(2, s.trunc) * r + s * r * r)
+
+
 def sigma_support(trunc):
     """Nonzero exponents of the closed form, ascending: {1, 2} and all
     6*2^j + 2*l <= trunc with j >= 0, 0 <= l < 2^j."""
-    if not _is_int(trunc) or not 2 <= trunc <= MAX_TRUNC:
-        raise BadPrecision(f"need truncation order in [2, {MAX_TRUNC}], got {trunc!r}")
+    _check_precision(trunc, 2)
     exps = [1, 2]
     j = 0
     while 6 * 2 ** j <= trunc:
@@ -87,38 +102,26 @@ def sigma_closed(trunc):
 def schreier_root(trunc):
     """The valuation-3 root s of s^2 + s = t^3 + t^4 over F_2, that is
     Series.artin_schreier_root of t^3 + t^4 truncated at N."""
-    if not _is_int(trunc) or trunc < 0:
-        raise BadPrecision(f"need a non-negative truncation order, got {trunc!r}")
+    _check_precision(trunc, 0)
     rhs = {e: 1 for e in (3, 4) if e <= trunc}      # t^3 + t^4, truncated
     return Series.from_terms(2, trunc, rhs).artin_schreier_root()
 
 
 def relation_root(trunc):
     """The valuation-3 root w = s/(1+t) of w + (1+t)*w^2 + t^3 = 0 over F_2."""
-    if not _is_int(trunc) or trunc < 0:
-        raise BadPrecision(f"need a non-negative truncation order, got {trunc!r}")
-    if trunc < 1:
-        return Series.zero(2, trunc)
-    one_plus_t = 1 + Series.gen(2, trunc)
-    return schreier_root(trunc) * one_plus_t.reciprocal()
+    return schreier_root(trunc) * _r(trunc)
 
 
 def sigma_algebraic(trunc):
     """The same element assembled as t*r + s*r^2, r = 1/(1+t)."""
-    if not _is_int(trunc) or trunc < 2:
-        raise BadPrecision(f"need truncation order >= 2, got {trunc!r}")
-    t = Series.gen(2, trunc)
-    r = (1 + t).reciprocal()
-    return GroupElement(t * r + schreier_root(trunc) * r * r)
+    _check_precision(trunc, 2)
+    return _algebraic(schreier_root(trunc), _r(trunc))
 
 
 def sigma_relation(trunc):
     """The same element assembled as (t + w)*r, r = 1/(1+t)."""
-    if not _is_int(trunc) or trunc < 2:
-        raise BadPrecision(f"need truncation order >= 2, got {trunc!r}")
-    t = Series.gen(2, trunc)
-    r = (1 + t).reciprocal()
-    return GroupElement((t + relation_root(trunc)) * r)
+    _check_precision(trunc, 2)
+    return GroupElement((Series.gen(2, trunc) + relation_root(trunc)) * _r(trunc))
 
 
 @dataclass(frozen=True)
@@ -147,13 +150,13 @@ class SigmaBundle:
 
 
 def sigma_bundle(trunc):
-    if not _is_int(trunc) or trunc < 8:
-        raise BadPrecision(f"need truncation order >= 8, got {trunc!r}")
+    _check_precision(trunc, 8)
+    s, r = schreier_root(trunc), _r(trunc)
     return SigmaBundle(
         sigma_closed=sigma_closed(trunc),
-        sigma_algebraic=sigma_algebraic(trunc),
-        schreier_root=schreier_root(trunc),
-        relation_root=relation_root(trunc),
+        sigma_algebraic=_algebraic(s, r),
+        schreier_root=s,
+        relation_root=s * r,
     )
 
 
@@ -203,14 +206,13 @@ def run_checks(bundle):
     sentinel N+1 is reported (no distinguishing exponent within precision).
     """
     n = bundle.trunc
-    if n < 8:
-        raise BadPrecision(f"need truncation order >= 8, got {n}")
+    _check_precision(n, 8)
     if bundle.sigma_closed.p != 2:
         raise WrongCharacteristic("the construction lives in characteristic 2")
     t = Series.gen(2, n)
     one = Series.one(2, n)
     rhs = Series.from_terms(2, n, {3: 1, 4: 1})  # t^3 + t^4
-    r = (1 + t).reciprocal()
+    r = _r(n)
     s = bundle.schreier_root
     w = bundle.relation_root
     sigma = bundle.sigma_closed

@@ -12,10 +12,10 @@ point.  A product is one _conv: an int64 convolution, or Kronecker
 substitution (one big-int product of packed coefficients) if long.  Over F_p
 a p-th power is a coefficient spread, f(t)^p = f(t^p), which p-th powers,
 Artin-Schreier roots and composition use.  Composition is Bernstein's
-Frobenius split, O(p*M(N)*log_p N) for M(N) one product's cost, with
-block-ladder leaves (about 2*sqrt(N) products) sharing one set of powers of
-g.  Reciprocals, m-th roots and reversion are Newton doublings, reversion
-with elimination leaves.
+Frobenius split, O(p*M(N)*log_p N) for M(N) one product's cost, one tree
+level at a time: a block ladder evaluates all leaves as rows of a matrix, a
+level's rows multiply by g in one _conv.  Reciprocals, m-th roots and
+reversion are Newton doublings, reversion with elimination leaves.
 
 Values are immutable after construction and every operation is a pure
 function of its inputs, so Series objects are safe to share across threads.
@@ -36,7 +36,7 @@ from .errors import (
     NotInvertible,
     WrongCharacteristic,
 )
-from .field import _is_int, check_prime
+from .field import PRIME_CAP, _is_int, check_prime
 
 _DT = np.int64
 
@@ -57,18 +57,31 @@ def _check_trunc(trunc):
             f"truncation order must be an int in [0, {MAX_TRUNC}], got {trunc!r}")
 
 
+def _number(tok, what, cap=None):
+    """int(tok) for ASCII digits up to cap, or for one leading - and ASCII
+    digits if cap is None; a ValueError echoes at most 40 characters."""
+    digits = tok[1:] if cap is None and tok.startswith("-") else tok
+    try:
+        if digits.isascii() and digits.isdigit() and (cap is None or int(tok) <= cap):
+            return int(tok)
+    except ValueError:      # more digits than int() converts
+        pass
+    raise ValueError(f"bad {what} {tok[:40]!r}{'...' * (len(tok) > 40)}: need ASCII digits"
+                     + ("" if cap is None else f" for an integer in [0, {cap}]"))
+
+
 def _zeros(n1):
     return np.zeros(n1, dtype=_DT)
 
 
-def _conv(a, b, p, n1):
-    """The first n1 < len(a) + len(b) coefficients of a*b mod p, for arrays
-    of canonical residues: np.convolve, or Kronecker substitution if long."""
-    if len(a) >= _KRONECKER <= len(b):     # wider slots only raise the crossover
+def _conv(a, b, p, n1, packed=False):
+    """The first n1 < len(a) + len(b) coefficients of a*b mod p, for arrays of
+    canonical residues: np.convolve, or Kronecker if long or packed (_mul_rows)."""
+    if packed or len(a) >= _KRONECKER <= len(b):     # wider slots only raise the crossover
         n = min(len(a), len(b))
         bound = n * (p - 1) ** 2
         w = 2 if bound < 1 << 16 else 4 if bound < 1 << 32 else 8     # slot bytes
-        if n >= _KRONECKER * (w // 2) ** 3:
+        if packed or n >= _KRONECKER * (w // 2) ** 3:
             dt = f"<u{w}"
             x = (int.from_bytes(a.astype(dt).tobytes(), "little")
                  * int.from_bytes(b.astype(dt).tobytes(), "little"))
@@ -80,18 +93,23 @@ def _conv(a, b, p, n1):
 def _mul(a, b, p):
     """Product in F_p[t]/(t^n1), n1 = len(a): _conv above the valuations."""
     n1 = a.shape[0]
-    nza = np.flatnonzero(a)
-    nzb = np.flatnonzero(b)
-    if nza.size == 0 or nzb.size == 0:
-        return _zeros(n1)
-    va = int(nza[0])
-    vb = int(nzb[0])
+    va = int((a != 0).argmax())
+    vb = int((b != 0).argmax())
     out = _zeros(n1)
-    if va + vb > n1 - 1:
-        return out
-    span = n1 - va - vb
-    out[va + vb:] = _conv(a[va:va + span], b[vb:vb + span], p, span)
+    if a[va] and b[vb] and va + vb < n1:
+        span = n1 - va - vb
+        out[va + vb:] = _conv(a[va:va + span], b[vb:vb + span], p, span)
     return out
+
+
+def _mul_rows(rows, g, p):
+    """rows[i]*g mod t^n1 for each row of an (r, n1) array, by one _conv with
+    the rows packed 2*n1 - 1 slots apart; a single row goes to _mul."""
+    r, n1 = rows.shape
+    if r == 1:
+        return _mul(rows[0], g, p)[None]
+    packed = np.concatenate([rows, _zeros((r, n1 - 1))], axis=1).ravel()
+    return _conv(packed, g[:n1], p, packed.size, packed=True).reshape(r, -1)[:, :n1]
 
 
 def _substitute(a, q, n1):
@@ -145,44 +163,33 @@ def _ladder(g, p, n1):
     return pows
 
 
-def _compose_block(f, pows, p):
-    """f(g) by square-root decomposition, pows = _ladder(g, p, len(f)): split
-    f into blocks of m = len(pows) - 1 coefficients, evaluate each against
-    the powers of g, then Horner over blocks with multiplier g^m.
-    Bit-identical to the Horner ladder."""
-    n1 = f.shape[0]
-    m = pows.shape[0] - 1
-    acc = _zeros(n1)
-    for i in reversed(range(-(-n1 // m))):
-        seg = f[i * m:(i + 1) * m]
-        acc = (_mul(acc, pows[m], p) + seg @ pows[:seg.shape[0]]) % p
-    return acc
-
-
 def _compose(f, g, p):
-    """f(g) by Bernstein's Frobenius split: f = sum_{i<p} t^i f_i(t)^p with
-    f_i = f[i::p], so f(g) = sum_{i<p} g^i f_i(g)^p (Horner in g), each
-    nonzero f_i(g) recursed at precision N//p.  Short series, and p^2 > N+1
-    where the p branches cost more, go to the block ladder.  All leaves have
-    one length, so one _ladder of g, built here, serves them all."""
-    leaf = f.shape[0]
-    while leaf > _LEAF and p * p <= leaf:
-        leaf = (leaf - 1) // p + 1
-    return _split(f, g, p, _ladder(g, p, leaf))
-
-
-def _split(f, g, p, pows):
-    n1 = f.shape[0]
-    if n1 == pows.shape[1]:
-        return _compose_block(f, pows, p)
-    m1 = (n1 - 1) // p + 1
-    acc = _zeros(n1)
-    for i in reversed(range(p)):
-        acc = _mul(acc, g, p)
-        fi = np.pad(f[i::p], (0, m1 - f[i::p].shape[0]))
-        if fi.any():
-            acc[::p] = (acc[::p] + _split(fi, g[:m1], p, pows)) % p
-    return acc
+    """f(g) by Bernstein's Frobenius split, one tree level at a time: with
+    f_i = f[i::p], f(g) = sum_{i<p} g^i f_i(g)^p, each f_i(g) at precision
+    N//p.  Node r of level k is f[r::p^k]: the p^K leaves (short series, or
+    p^2 > N+1: the root alone) are rows of one matrix for the block ladder,
+    blocks of m = isqrt(L) coefficients against one _ladder of g, Horner in
+    g^m.  Each level up is p - 1 row products by g, child i into [::p]."""
+    lens = [f.shape[0]]
+    while lens[-1] > _LEAF and p * p <= lens[-1]:
+        lens.append((lens[-1] - 1) // p + 1)
+    n1 = lens.pop()
+    q = p ** len(lens)          # leaves; leaf r is f[r::q]
+    pows = _ladder(g, p, n1)
+    m = pows.shape[0] - 1
+    nb = -(-n1 // m)            # blocks per leaf
+    leaves = np.concatenate([f, _zeros(q * nb * m - f.shape[0])]).reshape(nb * m, q).T
+    acc = leaves[:, -m:] @ pows[:m] % p
+    for i in reversed(range(nb - 1)):
+        acc = (_mul_rows(acc, pows[m], p) + leaves[:, i * m:(i + 1) * m] @ pows[:m]) % p
+    for n in reversed(lens):
+        child = acc.reshape(p, -1, acc.shape[1])    # child i of node r is row i*nodes + r
+        acc = _zeros((child.shape[1], n))
+        acc[:, ::p] = child[p - 1]
+        for i in reversed(range(p - 1)):
+            acc = _mul_rows(acc, g, p)
+            acc[:, ::p] = (acc[:, ::p] + child[i]) % p
+    return acc[0]
 
 
 def _eliminate(a, p):
@@ -214,7 +221,7 @@ def _reversion(a, p):
     if n1 <= _LEAF:
         return _eliminate(a, p)
     h, d = (n1 + 1) // 2, n1 // 2
-    g = np.pad(_reversion(a[:h], p), (0, d))
+    g = np.concatenate([_reversion(a[:h], p), _zeros(d)])
     df = (a[1:d + 1] * np.arange(1, d + 1)) % p     # f' mod t^d
     # f(g) = t mod t^h, so f(g) - t is t^h times f(g)'s tail from t^h
     corr = _mul(_compose(a, g, p)[h:], _reciprocal(_compose(df, g[:d], p), p), p)
@@ -451,7 +458,7 @@ class Series:
         inv_m = pow(m % p, -1, p)
         u = np.ones(1, dtype=_DT)
         while u.shape[0] < n1:
-            u = np.pad(u, (0, min(2 * u.shape[0], n1) - u.shape[0]))
+            u = np.concatenate([u, _zeros(min(u.shape[0], n1 - u.shape[0]))])
             q = _mul(self.coeffs[:u.shape[0]], _reciprocal(_pow(u, m - 1, p), p), p)
             u = (u + inv_m * (q - u)) % p
         return self._new(u)
@@ -479,19 +486,16 @@ class Series:
 
     @classmethod
     def from_text(cls, text):
-        """Parse the to_text() encoding; raises ValueError on malformed input."""
+        """Parse the to_text() encoding; raises ValueError on malformed input.
+        Numbers are ASCII digits, and a coefficient may have one leading -."""
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if len(lines) != 2:
             raise ValueError("expected exactly two non-empty lines")
         head = lines[0].split()
         if len(head) != 2 or not head[0].startswith("p=") or not head[1].startswith("N="):
-            raise ValueError(f"malformed header {lines[0]!r}")
-        try:
-            p = int(head[0][2:])
-            trunc = int(head[1][2:])
-        except ValueError:
-            raise ValueError(f"malformed header {lines[0]!r}") from None
-        _check_trunc(trunc)
+            raise ValueError("the header must be p=<p> N=<N>")
+        p = _number(head[0][2:], "characteristic", PRIME_CAP)
+        trunc = _number(head[1][2:], "truncation order", MAX_TRUNC)
         data = lines[1].split()
         if data == ["0"]:
             return cls(p, trunc, ())
@@ -499,14 +503,9 @@ class Series:
         last = -1
         for tok in data:
             e_str, _, c_str = tok.partition(":")
-            try:
-                e, c = int(e_str), int(c_str)
-            except ValueError:
-                raise ValueError(f"malformed term {tok!r}") from None
+            e = _number(e_str, "exponent", trunc)
             if e <= last:
                 raise ValueError("exponents must be strictly ascending")
-            if e > trunc:
-                raise ValueError(f"exponent {e} exceeds N={trunc}")
             last = e
-            terms[e] = c
+            terms[e] = _number(c_str, "coefficient")
         return cls.from_terms(p, trunc, terms)

@@ -1,3 +1,5 @@
+import pytest
+
 from nottingham import identity, sigma_closed
 from nottingham.series import MAX_TRUNC, Series
 
@@ -210,6 +212,22 @@ def test_malformed_or_missing_files(tmp_path):
     bad = write(tmp_path / "bad.txt", "not a series\n")
     assert run_cli(["depth", "--in", bad])[0] == 2
     assert run_cli(["depth", "--in", str(tmp_path / "absent.txt")])[0] == 2
+
+
+@pytest.mark.parametrize("text", [
+    "p=+2 N=10\n1:1\n",
+    "p=2 N=1_0\n1:1\n",
+    "p=2 N=10\n+1:+1\n",
+    "p=2 N=10\n1:1 2:1_1\n",
+    f"p=2 N=10\n1:1 {'9' * 5000}:1\n",
+    f"p=2 N=10\n1:1 2:{'7' * 5000}\n",
+], ids=["plus-p", "underscore-N", "plus-term", "underscore-coefficient",
+        "huge-exponent", "huge-coefficient"])
+def test_loose_or_huge_numbers_are_one_short_error(tmp_path, text):
+    path = write(tmp_path / "f.txt", text)
+    code, out, err = run_cli(["depth", "--in", path])
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and len(err) < 150
 
 
 # ----------------------------------------------------------------------

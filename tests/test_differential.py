@@ -1,8 +1,9 @@
 """Fast kernel paths against the slow oracles in support.py.
 
 Long products run Kronecker substitution, composition runs the Frobenius
-split above the block-ladder leaf, p-th powers and Artin-Schreier squares
-run as coefficient spreads, m-th roots and reversion (above the
+split one level at a time above the block-ladder leaves, each level's rows
+multiplied by g in one packed product, p-th powers and Artin-Schreier
+squares run as coefficient spreads, m-th roots and reversion (above the
 elimination leaf) run Newton iteration, and klopsch_rep works in x = t^m;
 each is checked for bit-equality against an algorithm that does none of
 that.
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from nottingham.group import GroupElement, klopsch_rep
-from nottingham.series import _KRONECKER, _LEAF, Series, _conv, _eliminate
+from nottingham.series import _KRONECKER, _LEAF, Series, _conv, _eliminate, _mul, _mul_rows
 
 from support import (
     coefficientwise_nth_root,
@@ -90,9 +91,29 @@ SLOT_SWITCHES = [(2, 65535), (2, 65536), (3, 16383), (3, 16384), (5, 4095), (5, 
 @pytest.mark.parametrize("p, n", SLOT_SWITCHES)
 def test_conv_worst_case_fills_its_slots(p, n):
     """All entries p-1: coefficient k < n of the square is (k+1)(p-1)^2,
-    the largest value a slot must hold, and (k+1) mod p."""
+    the largest value a slot must hold, and (k+1) mod p.  One row goes
+    through _mul to this same _conv; two rows take the packed product."""
     a = np.full(n, p - 1, dtype=np.int64)
-    assert np.array_equal(_conv(a, a, p, n), np.arange(1, n + 1) % p)
+    want = np.arange(1, n + 1) % p
+    assert np.array_equal(_conv(a, a, p, n), want)
+    assert np.array_equal(_mul_rows(np.stack([a, a]), a, p), np.stack([want, want]))
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_mul_rows_matches_per_row_mul(p):
+    """The packed row product against _mul on each row: distinct rows, a
+    row with a valuation and a zero row, 1 to 27 rows, around the crossover."""
+    rng = random.Random(490 + p)
+    for n1 in (1, 2, 43, CROSSOVER[p] - 1, CROSSOVER[p] + 1, 300):
+        for r in (1, 2, 27):
+            rows = np.array([residues(rng, p, n1) for _ in range(r)]).reshape(r, n1)
+            rows[0, :n1 // 2] = 0
+            if r > 1:
+                rows[-1] = 0
+            g = residues(rng, p, n1 + 3)
+            g[0] = 0
+            want = np.array([_mul(row, g, p) for row in rows])
+            assert np.array_equal(_mul_rows(rows, g, p), want), (p, n1, r)
 
 
 @pytest.mark.parametrize("p", PRIMES)

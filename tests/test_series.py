@@ -450,10 +450,35 @@ def test_text_roundtrip_random():
     "p=2 N=5\nbogus\n",
     "p=2 N=5\n1:\n",
     "p=2 N=-1\n0\n",
+    # numbers are ASCII digits, with one leading - on a coefficient only
+    "p=+2 N=5\n1:1\n",
+    "p=2 N=+5\n1:1\n",
+    "p=2 N=1_0\n1:1\n",
+    "p=2 N=\u0663\n1:1\n",           # ARABIC-INDIC DIGIT THREE
+    "p=2 N=5\n+1:1\n",
+    "p=2 N=5\n1:+1\n",
+    "p=2 N=5\n1:1_0\n",
+    "p=2 N=5\n1:\uff11\n",           # FULLWIDTH DIGIT ONE
 ])
 def test_from_text_rejects_malformed(text):
     with pytest.raises(ValueError):
         Series.from_text(text)
+
+
+def test_from_text_keeps_negative_coefficients():
+    assert Series.from_text("p=3 N=2\n1:1 2:-1\n") == Series.from_terms(3, 2, {1: 1, 2: 2})
+
+
+@pytest.mark.parametrize("text", [
+    f"p=2 N=5\n{'9' * 5000}:1\n",
+    f"p=2 N=5\n1:{'7' * 5000}\n",
+    f"p=2 N=5\n1:{'x' * 5000}\n",
+    f"p=2 N={'9' * 4000}\n0\n",
+], ids=["exponent", "coefficient", "non-digits", "truncation-order"])
+def test_from_text_error_echoes_a_short_token(text):
+    with pytest.raises(ValueError) as info:
+        Series.from_text(text)
+    assert len(str(info.value)) < 150
 
 
 def test_repr_smoke():
