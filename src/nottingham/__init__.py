@@ -20,10 +20,9 @@ from .errors import (
     NotNormalized,
     NottinghamError,
     WrongCharacteristic,
-    ZeroInverse,
     ZeroParameter,
 )
-from .field import FieldElement, check_prime
+from .field import check_prime
 from .group import (
     INFINITE_DEPTH,
     GroupElement,
@@ -54,7 +53,6 @@ __all__ = [
     "BadRoot",
     "BadTruncation",
     "CheckResult",
-    "FieldElement",
     "GroupElement",
     "INFINITE_DEPTH",
     "MAX_TRUNC",
@@ -69,7 +67,6 @@ __all__ = [
     "SigmaBundle",
     "VerificationReport",
     "WrongCharacteristic",
-    "ZeroInverse",
     "ZeroParameter",
     "check_prime",
     "identity",

@@ -14,6 +14,7 @@ import argparse
 import sys
 
 from .errors import NottinghamError
+from .field import PRIME_CAP
 from .group import (
     INFINITE_DEPTH,
     GroupElement,
@@ -21,13 +22,18 @@ from .group import (
     order_mod_truncation,
 )
 from .order4 import run_checks, sigma_algebraic, sigma_bundle, sigma_closed, sigma_relation
-from .series import Series
+from .series import MAX_TRUNC, Series, _number
 
 _SIGMA_ROUTES = {
     "closed": sigma_closed,
     "algebraic": sigma_algebraic,
     "relation": sigma_relation,
 }
+# Integer flags by dest: (name, cap).  argparse keeps them as strings; run reads
+# them by the file grammar's _number, so a bad one is one error: line.
+_INT_FLAGS = {"trunc": ("truncation order", MAX_TRUNC), "p": ("characteristic", PRIME_CAP),
+              "m": ("depth index", None), "a": ("parameter", None),
+              "k": ("exponent", None), "cap": ("cap", None)}
 
 
 def _load_group_element(path):
@@ -123,13 +129,13 @@ def _build_parser():
 
     p_sigma = sub.add_parser(
         "sigma", help="emit the order-4 element at p=2 (all routes must agree)")
-    p_sigma.add_argument("--trunc", type=int, required=True, metavar="N")
+    p_sigma.add_argument("--trunc", required=True, metavar="N")
     p_sigma.add_argument("--method", choices=sorted(_SIGMA_ROUTES))
     p_sigma.set_defaults(func=_cmd_sigma)
 
     p_verify = sub.add_parser(
         "verify", help="run the order-4 identity suite at a chosen precision")
-    p_verify.add_argument("--trunc", type=int, metavar="N")
+    p_verify.add_argument("--trunc", metavar="N")
     p_verify.add_argument("--sigma", metavar="FILE",
                           help="check this candidate series instead of the built-in one")
     p_verify.set_defaults(func=_cmd_verify)
@@ -145,13 +151,13 @@ def _build_parser():
 
     p_power = sub.add_parser("power", help="k-th compositional power")
     p_power.add_argument("--in", dest="infile", required=True, metavar="FILE")
-    p_power.add_argument("-k", type=int, required=True)
+    p_power.add_argument("-k", required=True)
     p_power.set_defaults(func=_cmd_power)
 
     p_order = sub.add_parser(
         "order", help="least p-power k <= cap with f^k = id at this precision")
     p_order.add_argument("--in", dest="infile", required=True, metavar="FILE")
-    p_order.add_argument("--cap", type=int, default=None, help="default p^6")
+    p_order.add_argument("--cap", default=None, help="default p^6")
     p_order.set_defaults(func=_cmd_order)
 
     p_depth = sub.add_parser("depth", help="congruence-filtration depth")
@@ -160,10 +166,10 @@ def _build_parser():
 
     p_klopsch = sub.add_parser(
         "klopsch", help="order-p representative t*(1 - a*t^m)^(-1/m)")
-    p_klopsch.add_argument("-p", type=int, required=True)
-    p_klopsch.add_argument("-m", type=int, required=True)
-    p_klopsch.add_argument("-a", type=int, required=True)
-    p_klopsch.add_argument("--trunc", type=int, required=True, metavar="N")
+    p_klopsch.add_argument("-p", required=True)
+    p_klopsch.add_argument("-m", required=True)
+    p_klopsch.add_argument("-a", required=True)
+    p_klopsch.add_argument("--trunc", required=True, metavar="N")
     p_klopsch.set_defaults(func=_cmd_klopsch)
 
     return parser
@@ -177,6 +183,9 @@ def run(argv):
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        for dest, (what, cap) in _INT_FLAGS.items():
+            if getattr(ns, dest, None) is not None:
+                setattr(ns, dest, _number(getattr(ns, dest), what, cap))
         return ns.func(ns)
     except (NottinghamError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

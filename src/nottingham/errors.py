@@ -9,10 +9,6 @@ class NottinghamError(Exception):
     """Base class for all library-specific errors."""
 
 
-class ZeroInverse(NottinghamError):
-    """Multiplicative inverse of zero was requested."""
-
-
 class MismatchedContext(NottinghamError):
     """Operands disagree on the characteristic p or the truncation order N."""
 
@@ -46,8 +42,8 @@ class BadTruncation(NottinghamError):
     """Truncating can only lower the precision, never raise it."""
 
 
-class BadPrecision(NottinghamError):
-    """Truncation order too small for the requested construction."""
+class BadPrecision(NottinghamError, ValueError):
+    """Truncation order not an int in the range the operation needs."""
 
 
 class ZeroParameter(NottinghamError):

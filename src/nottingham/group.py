@@ -14,8 +14,8 @@ import math
 
 import numpy as np
 
-from .errors import BadPrecision, NotCoprime, NotNormalized, ZeroParameter
-from .field import FieldElement, _is_int, check_prime
+from .errors import NotCoprime, NotNormalized, ZeroParameter
+from .field import _is_int, check_prime
 from .series import Series, _check_trunc, _substitute
 
 INFINITE_DEPTH = math.inf
@@ -35,8 +35,6 @@ class GroupElement:
 
     @classmethod
     def identity(cls, p, trunc):
-        if not _is_int(trunc) or trunc < 1:
-            raise BadPrecision(f"identity needs truncation order >= 1, got {trunc!r}")
         return cls(Series.gen(p, trunc))
 
     @property
@@ -58,11 +56,13 @@ class GroupElement:
             return NotImplemented
         if k < 0:
             raise ValueError("negative powers: use inverse() first")
-        out = GroupElement.identity(self.p, self.trunc)
+        if k == 0:
+            return GroupElement.identity(self.p, self.trunc)
+        out = None      # set at the lowest set bit, so no product with the identity
         base = self
         while k:
             if k & 1:
-                out = out * base
+                out = base if out is None else out * base
             k >>= 1
             if k:
                 base = base * base
@@ -131,28 +131,22 @@ def klopsch_rep(p, m, a, trunc):
     """The order-p element t * (1 - a*t^m)^(-1/m), for gcd(m, p) = 1, a != 0.
 
     One representative per conjugacy class of order-p elements, indexed by
-    the depth m (prime to p) and the parameter a in F_p*, an int or a
-    FieldElement.  The exponent -1/m is realized operationally, in x = t^m
-    at precision N // m: invert 1 - a*x, take the m-th root, spread x to
-    t^m and shift one place for the factor t.  The leading correction is
-    (a/m) * t^(m+1), so the depth is exactly m; the p-th power is the identity.
+    the depth m (prime to p) and the parameter a in F_p*, an int.  The
+    exponent -1/m is realized operationally, in x = t^m at precision N // m:
+    invert 1 - a*x, take the m-th root, spread x to t^m and shift one place
+    for the factor t.  The leading correction is (a/m) * t^(m+1), so the
+    depth is exactly m; the p-th power is the identity.
     """
     check_prime(p)
     if not _is_int(m) or m < 1:
         raise ValueError(f"depth index must be a positive int, got {m!r}")
     if m % p == 0:
         raise NotCoprime(f"depth index {m} is divisible by p = {p}")
-    if isinstance(a, FieldElement) and a.p == p:
-        a_val = a.value
-    elif _is_int(a):
-        a_val = a % p
-    else:
-        raise ValueError(f"parameter must be an int or an element of F_{p}, got {a!r}")
-    if a_val == 0:
+    if not _is_int(a):
+        raise ValueError(f"parameter must be an int, got {a!r}")
+    if a % p == 0:
         raise ZeroParameter("parameter a must be a nonzero field element")
-    if not _is_int(trunc) or trunc < m + 1:
-        raise BadPrecision(f"need truncation order >= {m + 1} to see depth {m}")
-    _check_trunc(trunc)     # before anything of length N is allocated
-    u = Series(p, trunc // m, (1, -a_val)).reciprocal().nth_root(m)
+    _check_trunc(trunc, m + 1)      # depth m is seen at N >= m + 1
+    u = Series(p, trunc // m, (1, -a % p)).reciprocal().nth_root(m)
     t_u = np.concatenate(([0], _substitute(u.coeffs, m, trunc)))     # t * u(t^m)
     return GroupElement(Series(p, trunc, t_u))

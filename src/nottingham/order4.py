@@ -45,10 +45,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import BadPrecision, WrongCharacteristic
-from .field import _is_int
+from .errors import WrongCharacteristic
 from .group import GroupElement
-from .series import MAX_TRUNC, Series
+from .series import Series, _check_trunc
 
 CHECK_NAMES = (
     "artin_schreier",
@@ -60,11 +59,6 @@ CHECK_NAMES = (
 )
 
 DEFAULT_PRECISION = 1024
-
-
-def _check_precision(trunc, least):
-    if not _is_int(trunc) or not least <= trunc <= MAX_TRUNC:
-        raise BadPrecision(f"need truncation order in [{least}, {MAX_TRUNC}], got {trunc!r}")
 
 
 def _r(trunc):
@@ -79,7 +73,7 @@ def _algebraic(s, r):
 def sigma_support(trunc):
     """Nonzero exponents of the closed form, ascending: {1, 2} and all
     6*2^j + 2*l <= trunc with j >= 0, 0 <= l < 2^j."""
-    _check_precision(trunc, 2)
+    _check_trunc(trunc, 2)
     exps = [1, 2]
     j = 0
     while 6 * 2 ** j <= trunc:
@@ -102,7 +96,7 @@ def sigma_closed(trunc):
 def schreier_root(trunc):
     """The valuation-3 root s of s^2 + s = t^3 + t^4 over F_2, that is
     Series.artin_schreier_root of t^3 + t^4 truncated at N."""
-    _check_precision(trunc, 0)
+    _check_trunc(trunc)
     rhs = {e: 1 for e in (3, 4) if e <= trunc}      # t^3 + t^4, truncated
     return Series.from_terms(2, trunc, rhs).artin_schreier_root()
 
@@ -114,13 +108,13 @@ def relation_root(trunc):
 
 def sigma_algebraic(trunc):
     """The same element assembled as t*r + s*r^2, r = 1/(1+t)."""
-    _check_precision(trunc, 2)
+    _check_trunc(trunc, 2)
     return _algebraic(schreier_root(trunc), _r(trunc))
 
 
 def sigma_relation(trunc):
     """The same element assembled as (t + w)*r, r = 1/(1+t)."""
-    _check_precision(trunc, 2)
+    _check_trunc(trunc, 2)
     return GroupElement((Series.gen(2, trunc) + relation_root(trunc)) * _r(trunc))
 
 
@@ -150,7 +144,7 @@ class SigmaBundle:
 
 
 def sigma_bundle(trunc):
-    _check_precision(trunc, 8)
+    _check_trunc(trunc, 8)
     s, r = schreier_root(trunc), _r(trunc)
     return SigmaBundle(
         sigma_closed=sigma_closed(trunc),
@@ -206,7 +200,7 @@ def run_checks(bundle):
     sentinel N+1 is reported (no distinguishing exponent within precision).
     """
     n = bundle.trunc
-    _check_precision(n, 8)
+    _check_trunc(n, 8)
     if bundle.sigma_closed.p != 2:
         raise WrongCharacteristic("the construction lives in characteristic 2")
     t = Series.gen(2, n)

@@ -27,6 +27,7 @@ from operator import index
 import numpy as np
 
 from .errors import (
+    BadPrecision,
     BadRoot,
     BadTruncation,
     MismatchedContext,
@@ -51,10 +52,11 @@ _LEAF = 128     # series this short compose by the block ladder and revert by el
 _KRONECKER = 80
 
 
-def _check_trunc(trunc):
-    if not _is_int(trunc) or not 0 <= trunc <= MAX_TRUNC:
-        raise ValueError(
-            f"truncation order must be an int in [0, {MAX_TRUNC}], got {trunc!r}")
+def _check_trunc(trunc, least=0):
+    """The one truncation-order guard: an int in [least, MAX_TRUNC]."""
+    if not _is_int(trunc) or not least <= trunc <= MAX_TRUNC:
+        raise BadPrecision(
+            f"truncation order must be an int in [{least}, {MAX_TRUNC}], got {trunc!r}")
 
 
 def _number(tok, what, cap=None):
@@ -276,8 +278,7 @@ class Series:
     @classmethod
     def gen(cls, p, trunc):
         """The series t (requires trunc >= 1)."""
-        if trunc < 1:
-            raise ValueError("the generator t needs truncation order >= 1")
+        _check_trunc(trunc, 1)
         return cls(p, trunc, (0, 1))
 
     @classmethod

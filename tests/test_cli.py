@@ -230,6 +230,26 @@ def test_loose_or_huge_numbers_are_one_short_error(tmp_path, text):
     assert len(err.splitlines()) == 1 and err.startswith("error:") and len(err) < 150
 
 
+@pytest.mark.parametrize("argv", [
+    ["sigma", "--trunc", "1_0", "--method", "closed"],
+    ["sigma", "--trunc", "\u0663"],
+    ["sigma", "--trunc", "9" * 3000],
+    ["verify", "--trunc", "+64"],
+    ["klopsch", "-p", "+3", "-m", "1", "-a", "1", "--trunc", "5"],
+    ["klopsch", "-p", "3", "-m", "1_0", "-a", "1", "--trunc", "50"],
+    ["klopsch", "-p", "3", "-m", "1", "-a", "1.0", "--trunc", "5"],
+    ["power", "--in", "@f", "-k", "\u0663"],
+    ["order", "--in", "@f", "--cap", "1e3"],
+], ids=["underscore-trunc", "arabic-digit-trunc", "huge-trunc", "plus-trunc", "plus-p",
+        "underscore-m", "float-a", "arabic-digit-k", "float-cap"])
+def test_loose_or_huge_flags_are_one_short_error(tmp_path, argv):
+    # integer flags read the file grammar: ASCII digits, capped for N and p
+    path = write(tmp_path / "sigma.txt", SIGMA62_TEXT)
+    code, out, err = run_cli([path if a == "@f" else a for a in argv])
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and len(err) < 150
+
+
 # ----------------------------------------------------------------------
 # top-level usage
 

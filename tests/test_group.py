@@ -5,7 +5,6 @@ import pytest
 from nottingham import (
     BadPrecision,
     INFINITE_DEPTH,
-    FieldElement,
     GroupElement,
     MismatchedContext,
     NotCoprime,
@@ -74,6 +73,26 @@ def test_power_basics():
     assert f ** 3 == f * f * f
     with pytest.raises(ValueError):
         f ** -1
+
+
+@pytest.mark.parametrize("k, composes", [(0, 0), (1, 0), (2, 1), (3, 2), (8, 3)])
+def test_power_never_composes_with_the_identity(monkeypatch, k, composes):
+    # square-and-multiply from the lowest set bit: popcount(k) - 1 products
+    # and floor(log2 k) squarings, and none at all for k in {0, 1}
+    f = random_group_element(random.Random(207), 3, 20)
+    expected = identity(3, 20)
+    for _ in range(k):
+        expected = expected * f
+    calls = []
+    compose = Series.compose
+
+    def counting(self, other):
+        calls.append(1)
+        return compose(self, other)
+
+    monkeypatch.setattr(Series, "compose", counting)
+    assert f ** k == expected
+    assert len(calls) == composes
 
 
 def test_sigma_square_and_fourth_power():
@@ -217,7 +236,7 @@ def test_klopsch_leading_coefficient_is_a_over_m():
         rep = klopsch_rep(p, m, a, 2 * m + 2)
         assert rep.depth() == m
         assert rep.series[m + 1] == lead
-        assert FieldElement(a, p) / m == FieldElement(lead, p)
+        assert a * pow(m, -1, p) % p == lead
 
 
 def test_klopsch_full_suite_small():
@@ -241,12 +260,6 @@ def test_klopsch_parameter_additivity():
                     assert lhs == identity(p, 40)
                 else:
                     assert lhs == klopsch_rep(p, m, (a + b) % p, 40)
-
-
-def test_klopsch_accepts_field_element_parameter():
-    assert klopsch_rep(5, 2, FieldElement(3, 5), 10) == klopsch_rep(5, 2, 3, 10)
-    with pytest.raises(ValueError):
-        klopsch_rep(5, 2, FieldElement(1, 3), 10)
 
 
 @pytest.mark.parametrize("p, m, a", [(2, 1, 1.5), (3, 1, True), (3, 1, "1"), (3, 2, None)],

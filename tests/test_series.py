@@ -3,6 +3,7 @@ import random
 import pytest
 
 from nottingham import (
+    BadPrecision,
     BadRoot,
     BadTruncation,
     MismatchedContext,
@@ -11,6 +12,9 @@ from nottingham import (
     NotCoprime,
     NotInvertible,
     WrongCharacteristic,
+    identity,
+    klopsch_rep,
+    sigma_closed,
 )
 from nottingham.series import MAX_TRUNC, Series
 
@@ -60,6 +64,21 @@ def test_precision_cap():
     ):
         with pytest.raises(ValueError):
             build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Series(2, -1, ()),
+    lambda: Series.gen(2, "x"),
+    lambda: identity(2, None),
+    lambda: klopsch_rep(2, 1, 1, 10 ** 15),
+    lambda: sigma_closed(MAX_TRUNC + 1),
+], ids=["series", "gen", "identity", "klopsch", "sigma"])
+def test_one_truncation_guard_raises_bad_precision(build):
+    # every truncation-order check is _check_trunc: a BadPrecision that is
+    # also a ValueError, whatever the entry point
+    with pytest.raises(BadPrecision) as info:
+        build()
+    assert isinstance(info.value, ValueError)
 
 
 def test_constructor_reduces_oversized_ints():
