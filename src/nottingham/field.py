@@ -13,6 +13,12 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _echo(x):
+    """A caller's value in error text: repr cut to 40 characters, a huge int's size."""
+    r = f"<int of {x.bit_length()} bits>" if _is_int(x) and x.bit_length() > 128 else repr(x)
+    return r[:40] + "..." * (len(r) > 40)
+
+
 def check_prime(p):
     """Return p unchanged if it is a prime with 2 <= p <= 257.
 
@@ -23,7 +29,7 @@ def check_prime(p):
     if not _is_int(p):
         raise TypeError(f"characteristic must be an int, got {type(p).__name__}")
     if p < 2 or p > PRIME_CAP:
-        raise ValueError(f"characteristic {p} outside supported range [2, {PRIME_CAP}]")
+        raise ValueError(f"characteristic {_echo(p)} outside supported range [2, {PRIME_CAP}]")
     d = 2
     while d * d <= p:
         if p % d == 0:

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import NotCoprime, NotNormalized, ZeroParameter
-from .field import _is_int, check_prime
+from .field import _echo, _is_int, check_prime
 from .series import Series, _check_trunc, _substitute
 
 INFINITE_DEPTH = math.inf
@@ -114,7 +114,7 @@ def order_mod_truncation(f, cap=None):
     if cap is None:
         cap = f.p ** 6
     if not _is_int(cap) or cap < 1:
-        raise ValueError(f"cap must be a positive int, got {cap!r}")
+        raise ValueError(f"cap must be a positive int, got {_echo(cap)}")
     k = 1
     g = f
     ident = GroupElement.identity(f.p, f.trunc)
@@ -139,11 +139,11 @@ def klopsch_rep(p, m, a, trunc):
     """
     check_prime(p)
     if not _is_int(m) or m < 1:
-        raise ValueError(f"depth index must be a positive int, got {m!r}")
+        raise ValueError(f"depth index must be a positive int, got {_echo(m)}")
     if m % p == 0:
-        raise NotCoprime(f"depth index {m} is divisible by p = {p}")
+        raise NotCoprime(f"depth index {_echo(m)} is divisible by p = {p}")
     if not _is_int(a):
-        raise ValueError(f"parameter must be an int, got {a!r}")
+        raise ValueError(f"parameter must be an int, got {_echo(a)}")
     if a % p == 0:
         raise ZeroParameter("parameter a must be a nonzero field element")
     _check_trunc(trunc, m + 1)      # depth m is seen at N >= m + 1

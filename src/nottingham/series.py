@@ -9,8 +9,9 @@ the only way to lower precision.
 
 All arithmetic is exact integer arithmetic; nothing here touches floating
 point.  A product is one _conv: an int64 convolution, or Kronecker
-substitution (one big-int product of packed coefficients) if long.  Over F_p
-a p-th power is a coefficient spread, f(t)^p = f(t^p), which p-th powers,
+substitution (one big-int product of packed coefficients) if long, with one
+bit per coefficient at p = 2 and byte slots otherwise.  Over F_p a p-th
+power is a coefficient spread, f(t)^p = f(t^p), which p-th powers,
 Artin-Schreier roots and composition use.  Composition is Bernstein's
 Frobenius split, O(p*M(N)*log_p N) for M(N) one product's cost, one tree
 level at a time: a block ladder evaluates all leaves as rows of a matrix, a
@@ -37,18 +38,18 @@ from .errors import (
     NotInvertible,
     WrongCharacteristic,
 )
-from .field import PRIME_CAP, _is_int, check_prime
+from .field import PRIME_CAP, _echo, _is_int, check_prime
 
 _DT = np.int64
 
 # Largest truncation order anywhere (Series, from_text, every CLI --trunc):
 # it caps what a hostile header can allocate and bounds a product coefficient,
 # n*(p-1)^2 for n the shorter operand's length, by about 2^36 (N = 2^20, p =
-# 257): int64 sums are exact, and so is _conv's slot of 16, 32 or 64 bits.
+# 257): int64 sums are exact, and so is every slot of _conv.
 MAX_TRUNC = 2 ** 20
 _LEAF = 128     # series this short compose by the block ladder and revert by elimination
-# Shorter-operand length where 16-bit Kronecker slots overtake np.convolve
-# (2-vCPU Xeon); it grows with the cube of the slot width, as wider slots do.
+# Shorter-operand length where Kronecker (16-bit slots, or bit slots at p = 2)
+# overtakes np.convolve (2-vCPU Xeon); wider byte slots raise it by width cubed.
 _KRONECKER = 80
 
 
@@ -56,7 +57,7 @@ def _check_trunc(trunc, least=0):
     """The one truncation-order guard: an int in [least, MAX_TRUNC]."""
     if not _is_int(trunc) or not least <= trunc <= MAX_TRUNC:
         raise BadPrecision(
-            f"truncation order must be an int in [{least}, {MAX_TRUNC}], got {trunc!r}")
+            f"truncation order must be an int in [{_echo(least)}, {MAX_TRUNC}], got {_echo(trunc)}")
 
 
 def _number(tok, what, cap=None):
@@ -68,7 +69,7 @@ def _number(tok, what, cap=None):
             return int(tok)
     except ValueError:      # more digits than int() converts
         pass
-    raise ValueError(f"bad {what} {tok[:40]!r}{'...' * (len(tok) > 40)}: need ASCII digits"
+    raise ValueError(f"bad {what} {_echo(tok)}: need ASCII digits"
                      + ("" if cap is None else f" for an integer in [0, {cap}]"))
 
 
@@ -76,11 +77,25 @@ def _zeros(n1):
     return np.zeros(n1, dtype=_DT)
 
 
+def _bits(a, s):
+    """The int with bit k*s equal to a[k], for an array of 0s and 1s."""
+    m = np.zeros(len(a) * s, dtype=np.uint8)
+    m[::s] = a
+    return int.from_bytes(np.packbits(m, bitorder="little").tobytes(), "little")
+
+
 def _conv(a, b, p, n1, packed=False):
     """The first n1 < len(a) + len(b) coefficients of a*b mod p, for arrays of
-    canonical residues: np.convolve, or Kronecker if long or packed (_mul_rows)."""
+    canonical residues: np.convolve, or Kronecker if long or packed (_mul_rows),
+    in slots that hold n*(p-1)^2, n the shorter length: at p = 2 one bit per
+    coefficient in n.bit_length() bits, read mod 2 at bit 0; else 16, 32 or 64 bits."""
     if packed or len(a) >= _KRONECKER <= len(b):     # wider slots only raise the crossover
         n = min(len(a), len(b))
+        if p == 2:
+            s = n.bit_length()
+            x = _bits(a, s) * _bits(b, s)
+            c = np.frombuffer(x.to_bytes(((len(a) + len(b)) * s + 7) // 8, "little"), np.uint8)
+            return np.unpackbits(c, count=n1 * s, bitorder="little")[::s].astype(_DT)
         bound = n * (p - 1) ** 2
         w = 2 if bound < 1 << 16 else 4 if bound < 1 << 32 else 8     # slot bytes
         if packed or n >= _KRONECKER * (w // 2) ** 3:
@@ -292,9 +307,9 @@ class Series:
             try:
                 e, c = index(e), index(c)
             except TypeError:
-                raise ValueError(f"terms must be int pairs, got {e!r}: {c!r}") from None
+                raise ValueError(f"terms must be int pairs, got {_echo(e)}: {_echo(c)}") from None
             if not 0 <= e <= trunc:
-                raise ValueError(f"exponent {e} outside [0, {trunc}]")
+                raise ValueError(f"exponent {_echo(e)} outside [0, {trunc}]")
             arr[e] = c % p
         return cls(p, trunc, arr)
 
@@ -308,7 +323,7 @@ class Series:
 
     def __getitem__(self, e):
         if not 0 <= e <= self.trunc:
-            raise IndexError(f"exponent {e} outside [0, {self.trunc}]")
+            raise IndexError(f"exponent {_echo(e)} outside [0, {self.trunc}]")
         return int(self.coeffs[e])
 
     def support(self):
@@ -450,9 +465,9 @@ class Series:
         u <- u + (self/u^(m-1) - u)/m doubles the precision of the root.
         """
         if not _is_int(m) or m < 1:
-            raise ValueError(f"root index must be a positive int, got {m!r}")
+            raise ValueError(f"root index must be a positive int, got {_echo(m)}")
         if m % self.p == 0:
-            raise NotCoprime(f"root index {m} is divisible by p = {self.p}")
+            raise NotCoprime(f"root index {_echo(m)} is divisible by p = {self.p}")
         if self.coeffs[0] != 1:
             raise BadRoot("m-th roots are extracted from unit series with f(0) = 1")
         p, n1 = self.p, self.trunc + 1
@@ -470,10 +485,10 @@ class Series:
     def truncate(self, new_trunc):
         """The same series in F_p[t]/(t^(M+1)) for M <= N."""
         if not _is_int(new_trunc):
-            raise ValueError(f"truncation order must be an int, got {new_trunc!r}")
+            raise ValueError(f"truncation order must be an int, got {_echo(new_trunc)}")
         if new_trunc < 0 or new_trunc > self.trunc:
             raise BadTruncation(
-                f"cannot truncate from N={self.trunc} to N={new_trunc}")
+                f"cannot truncate from N={self.trunc} to N={_echo(new_trunc)}")
         return Series(self.p, new_trunc, self.coeffs[:new_trunc + 1])
 
     # ------------------------------------------------------------------

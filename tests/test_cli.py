@@ -240,8 +240,11 @@ def test_loose_or_huge_numbers_are_one_short_error(tmp_path, text):
     ["klopsch", "-p", "3", "-m", "1", "-a", "1.0", "--trunc", "5"],
     ["power", "--in", "@f", "-k", "\u0663"],
     ["order", "--in", "@f", "--cap", "1e3"],
+    ["klopsch", "-p", "3", "-m", "1" * 3000, "-a", "1", "--trunc", "10"],
+    ["klopsch", "-p", "3", "-m", "1" * 3001, "-a", "1", "--trunc", "10"],
 ], ids=["underscore-trunc", "arabic-digit-trunc", "huge-trunc", "plus-trunc", "plus-p",
-        "underscore-m", "float-a", "arabic-digit-k", "float-cap"])
+        "underscore-m", "float-a", "arabic-digit-k", "float-cap", "huge-m-divisible-by-p",
+        "huge-m-prime-to-p"])
 def test_loose_or_huge_flags_are_one_short_error(tmp_path, argv):
     # integer flags read the file grammar: ASCII digits, capped for N and p
     path = write(tmp_path / "sigma.txt", SIGMA62_TEXT)

@@ -1,12 +1,12 @@
 """Fast kernel paths against the slow oracles in support.py.
 
-Long products run Kronecker substitution, composition runs the Frobenius
-split one level at a time above the block-ladder leaves, each level's rows
-multiplied by g in one packed product, p-th powers and Artin-Schreier
-squares run as coefficient spreads, m-th roots and reversion (above the
-elimination leaf) run Newton iteration, and klopsch_rep works in x = t^m;
-each is checked for bit-equality against an algorithm that does none of
-that.
+Long products run Kronecker substitution (one bit per coefficient at p = 2,
+byte slots otherwise), composition runs the Frobenius split one level at a
+time above the block-ladder leaves, each level's rows multiplied by g in
+one packed product, p-th powers and Artin-Schreier squares run as
+coefficient spreads, m-th roots and reversion (above the elimination leaf)
+run Newton iteration, and klopsch_rep works in x = t^m; each is checked for
+bit-equality against an algorithm that does none of that.
 """
 
 import random
@@ -47,8 +47,9 @@ def branchy_outer(rng, p, n):
     return Series(p, n, [rng.randrange(p) if e % p in keep else 0 for e in range(n + 1)])
 
 
-# Kronecker crossover per prime at these lengths: 16-bit slots below
-# p = 257, 32-bit slots (crossover 2^3 times higher) at p = 257.
+# Kronecker crossover per prime at these lengths: bit slots at p = 2,
+# 16-bit slots at p = 3, 5, 7, 32-bit slots (crossover 2^3 times higher) at
+# p = 257.
 CROSSOVER = {p: _KRONECKER * (8 if p == 257 else 1) for p in PRIMES}
 
 
@@ -82,8 +83,9 @@ def test_mul_with_valuations_matches_naive(p):
         assert g * f == naive_product(f, g), (p, span)
 
 
-# (p, n) on each side of every slot-width switch: n*(p-1)^2 reaches 2^16 at
-# p = 2, 3, 5, 7 and 2^32 at p = 257.
+# (p, n) on each side of every byte-slot switch: n*(p-1)^2 reaches 2^16 at
+# p = 3, 5, 7 and 2^32 at p = 257.  At p = 2 the bit slot widens there from
+# 16 to 17 bits.
 SLOT_SWITCHES = [(2, 65535), (2, 65536), (3, 16383), (3, 16384), (5, 4095), (5, 4096),
                  (7, 1820), (7, 1821), (257, 65535), (257, 65536)]
 
@@ -97,6 +99,31 @@ def test_conv_worst_case_fills_its_slots(p, n):
     want = np.arange(1, n + 1) % p
     assert np.array_equal(_conv(a, a, p, n), want)
     assert np.array_equal(_mul_rows(np.stack([a, a]), a, p), np.stack([want, want]))
+
+
+@pytest.mark.parametrize("n", [2 ** k - d for k in (7, 8, 11, 12) for d in (1, 0)])
+def test_bit_slots_hold_all_ones_squares(n):
+    """At p = 2 a slot has n.bit_length() bits, one more at each n = 2^k;
+    the all-ones square fills coefficient n - 1 with n, the largest value a
+    slot must hold.  Full product by _conv, truncated through two rows."""
+    a = np.ones(n, dtype=np.int64)
+    want = np.convolve(a, a) % 2
+    assert np.array_equal(_conv(a, a, 2, 2 * n - 1), want)
+    assert np.array_equal(_mul_rows(np.stack([a, a]), a, 2), np.stack([want[:n], want[:n]]))
+
+
+def test_bit_slots_at_the_composition_leaf_shape():
+    """32 packed rows of 65 against g: the (4128, 65) product of a leaf
+    level of composition at N = 4096, whole and truncated."""
+    rng = np.random.default_rng(500)
+    rows, g = rng.integers(0, 2, (32, 65)), rng.integers(0, 2, 65)
+    packed = np.concatenate([rows, np.zeros((32, 64), dtype=np.int64)], axis=1).ravel()
+    assert packed.shape == (4128,)
+    for n1 in (4128 + 64, 4128, 1000):
+        got = _conv(packed, g, 2, n1, packed=True)
+        assert np.array_equal(got, np.convolve(packed, g)[:n1] % 2), n1
+    want = np.array([np.convolve(row, g)[:65] % 2 for row in rows])
+    assert np.array_equal(_mul_rows(rows, g, 2), want)
 
 
 @pytest.mark.parametrize("p", PRIMES)

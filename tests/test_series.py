@@ -12,8 +12,10 @@ from nottingham import (
     NotCoprime,
     NotInvertible,
     WrongCharacteristic,
+    check_prime,
     identity,
     klopsch_rep,
+    order_mod_truncation,
     sigma_closed,
 )
 from nottingham.series import MAX_TRUNC, Series
@@ -79,6 +81,34 @@ def test_one_truncation_guard_raises_bad_precision(build):
     with pytest.raises(BadPrecision) as info:
         build()
     assert isinstance(info.value, ValueError)
+
+
+HUGE, LONG = 10 ** 3000, "x" * 3000
+
+
+@pytest.mark.parametrize("build, exc", [
+    (lambda: sigma_closed(HUGE), BadPrecision),
+    (lambda: sigma_closed(10 ** 5000), BadPrecision),   # past the int-to-str digit limit
+    (lambda: Series.zero(2, 4).truncate(HUGE), BadTruncation),
+    (lambda: Series.zero(2, 4).truncate(LONG), ValueError),
+    (lambda: Series.zero(2, 4)[HUGE], IndexError),
+    (lambda: Series.from_terms(2, 4, {HUGE: 1}), ValueError),
+    (lambda: Series.from_terms(2, 4, {LONG: 1}), ValueError),
+    (lambda: Series.one(3, 4).nth_root(3 * HUGE), NotCoprime),
+    (lambda: Series.one(3, 4).nth_root(LONG), ValueError),
+    (lambda: klopsch_rep(3, 3 * HUGE, 1, 10), NotCoprime),
+    (lambda: klopsch_rep(3, HUGE, 1, 10), BadPrecision),    # least = m + 1
+    (lambda: klopsch_rep(3, 1, LONG, 10), ValueError),
+    (lambda: order_mod_truncation(identity(2, 4), -HUGE), ValueError),
+    (lambda: check_prime(HUGE), ValueError),
+], ids=["sigma", "sigma-past-digit-limit", "truncate", "truncate-str", "getitem",
+        "terms-exponent", "terms-str", "root-index", "root-index-str", "klopsch-m",
+        "klopsch-least", "klopsch-a", "order-cap", "prime"])
+def test_error_text_quotes_a_huge_value_briefly(build, exc):
+    # a caller's value is echoed by one 40-character rule, never whole
+    with pytest.raises(exc) as info:
+        build()
+    assert len(str(info.value)) < 150
 
 
 def test_constructor_reduces_oversized_ints():
