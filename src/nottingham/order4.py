@@ -231,7 +231,7 @@ def run_checks(bundle):
     checks.append(CheckResult("factorization", e is None, e))
 
     # (c) w + (1+t)*w^2 + t^3 = 0
-    relation = w + (1 + t) * w * w + Series.from_terms(2, n, {3: 1})
+    relation = w + (1 + t) * (w * w) + Series.from_terms(2, n, {3: 1})
     v = relation.valuation()
     e = None if v > n else v
     checks.append(CheckResult("ring_relation", e is None, e))

@@ -14,9 +14,10 @@ bit per coefficient at p = 2 and byte slots otherwise.  Over F_p a p-th
 power is a coefficient spread, f(t)^p = f(t^p), which p-th powers,
 Artin-Schreier roots and composition use.  Composition is Bernstein's
 Frobenius split, O(p*M(N)*log_p N) for M(N) one product's cost, one tree
-level at a time: a block ladder evaluates all leaves as rows of a matrix, a
-level's rows multiply by g in one _conv.  Reciprocals, m-th roots and
-reversion are Newton doublings, reversion with elimination leaves.
+level at a time: a block ladder sized by the number of leaves evaluates all
+leaves (at most _TWIG coefficients) as rows of a matrix, a level's rows
+multiply by g in one _conv.  Reciprocals, m-th roots and reversion are
+Newton doublings, reversion down to elimination at _LEAF coefficients.
 
 Values are immutable after construction and every operation is a pure
 function of its inputs, so Series objects are safe to share across threads.
@@ -47,7 +48,8 @@ _DT = np.int64
 # n*(p-1)^2 for n the shorter operand's length, by about 2^36 (N = 2^20, p =
 # 257): int64 sums are exact, and so is every slot of _conv.
 MAX_TRUNC = 2 ** 20
-_LEAF = 128     # series this short compose by the block ladder and revert by elimination
+_TWIG = 16      # series this short are composition leaves, evaluated by the block ladder
+_LEAF = 64      # series this short revert by elimination
 # Shorter-operand length where Kronecker (16-bit slots, or bit slots at p = 2)
 # overtakes np.convolve (2-vCPU Xeon); wider byte slots raise it by width cubed.
 _KRONECKER = 80
@@ -93,29 +95,32 @@ def _conv(a, b, p, n1, packed=False):
         n = min(len(a), len(b))
         if p == 2:
             s = n.bit_length()
-            x = _bits(a, s) * _bits(b, s)
+            x = _bits(a, s)
+            x *= x if b is a else _bits(b, s)       # a square takes CPython's squaring path
             c = np.frombuffer(x.to_bytes(((len(a) + len(b)) * s + 7) // 8, "little"), np.uint8)
             return np.unpackbits(c, count=n1 * s, bitorder="little")[::s].astype(_DT)
         bound = n * (p - 1) ** 2
         w = 2 if bound < 1 << 16 else 4 if bound < 1 << 32 else 8     # slot bytes
         if packed or n >= _KRONECKER * (w // 2) ** 3:
             dt = f"<u{w}"
-            x = (int.from_bytes(a.astype(dt).tobytes(), "little")
-                 * int.from_bytes(b.astype(dt).tobytes(), "little"))
+            x = int.from_bytes(a.astype(dt).tobytes(), "little")
+            x *= x if b is a else int.from_bytes(b.astype(dt).tobytes(), "little")
             c = x.to_bytes((len(a) + len(b)) * w, "little")
             return (np.frombuffer(c, dtype=dt, count=n1) % p).astype(_DT)
     return np.convolve(a, b)[:n1] % p
 
 
 def _mul(a, b, p):
-    """Product in F_p[t]/(t^n1), n1 = len(a): _conv above the valuations."""
+    """Product in F_p[t]/(t^n1), n1 = len(a): _conv above the valuations,
+    of one slice if b is a."""
     n1 = a.shape[0]
     va = int((a != 0).argmax())
     vb = int((b != 0).argmax())
     out = _zeros(n1)
     if a[va] and b[vb] and va + vb < n1:
         span = n1 - va - vb
-        out[va + vb:] = _conv(a[va:va + span], b[vb:vb + span], p, span)
+        x = a[va:va + span]
+        out[va + vb:] = _conv(x, x if b is a else b[vb:vb + span], p, span)
     return out
 
 
@@ -170,30 +175,24 @@ def _reciprocal(a, p):
     return g
 
 
-def _ladder(g, p, n1):
-    """The block ladder's rows g^0, ..., g^m mod t^n1, m = isqrt(n1)."""
-    m = max(1, math.isqrt(n1))
-    pows = np.zeros((m + 1, n1), dtype=_DT)
-    pows[0, 0] = 1
-    for j in range(1, m + 1):
-        pows[j] = _mul(pows[j - 1], g[:n1], p)
-    return pows
-
-
 def _compose(f, g, p):
     """f(g) by Bernstein's Frobenius split, one tree level at a time: with
     f_i = f[i::p], f(g) = sum_{i<p} g^i f_i(g)^p, each f_i(g) at precision
-    N//p.  Node r of level k is f[r::p^k]: the p^K leaves (short series, or
-    p^2 > N+1: the root alone) are rows of one matrix for the block ladder,
-    blocks of m = isqrt(L) coefficients against one _ladder of g, Horner in
-    g^m.  Each level up is p - 1 row products by g, child i into [::p]."""
+    N//p.  Node r of level k is f[r::p^k]: the q = p^K leaves (at most _TWIG
+    coefficients, or p^2 > L: the root alone) are the rows of one (q, L)
+    matrix for the block ladder, blocks of m = min(L, isqrt(q*L)) coefficients
+    against the rows g^0, ..., g^m, Horner in g^m when m < L.  Each level up
+    is p - 1 row products by g, child i into [::p]."""
     lens = [f.shape[0]]
-    while lens[-1] > _LEAF and p * p <= lens[-1]:
+    while lens[-1] > _TWIG and p * p <= lens[-1]:
         lens.append((lens[-1] - 1) // p + 1)
     n1 = lens.pop()
     q = p ** len(lens)          # leaves; leaf r is f[r::q]
-    pows = _ladder(g, p, n1)
-    m = pows.shape[0] - 1
+    m = max(1, min(n1, math.isqrt(q * n1)))     # m ladder products balance n1/m row products of q rows
+    pows = _zeros((m + 1, n1))
+    pows[0, 0] = 1
+    for j in range(1, min(m + 1, n1)):          # g^j = 0 mod t^n1 for j >= n1, as g(0) = 0
+        pows[j] = _mul(pows[j - 1], g[:n1], p)
     nb = -(-n1 // m)            # blocks per leaf
     leaves = np.concatenate([f, _zeros(q * nb * m - f.shape[0])]).reshape(nb * m, q).T
     acc = leaves[:, -m:] @ pows[:m] % p
@@ -374,7 +373,7 @@ class Series:
             return self._new((self.coeffs + other.coeffs) % self.p)
         if _is_int(other):
             arr = self.coeffs.copy()
-            arr[0] = (arr[0] + other) % self.p
+            arr[0] = (arr[0] + other % self.p) % self.p
             return self._new(arr)
         return NotImplemented
 

@@ -2,11 +2,12 @@
 
 Long products run Kronecker substitution (one bit per coefficient at p = 2,
 byte slots otherwise), composition runs the Frobenius split one level at a
-time above the block-ladder leaves, each level's rows multiplied by g in
-one packed product, p-th powers and Artin-Schreier squares run as
-coefficient spreads, m-th roots and reversion (above the elimination leaf)
-run Newton iteration, and klopsch_rep works in x = t^m; each is checked for
-bit-equality against an algorithm that does none of that.
+time above the block-ladder leaves (at most _TWIG coefficients, or fewer
+than p^2), each level's rows multiplied by g in one packed product, p-th
+powers and Artin-Schreier squares run as coefficient spreads, m-th roots
+and reversion (above the elimination leaf) run Newton iteration, and
+klopsch_rep works in x = t^m; each is checked for bit-equality against an
+algorithm that does none of that.
 """
 
 import random
@@ -15,7 +16,8 @@ import numpy as np
 import pytest
 
 from nottingham.group import GroupElement, klopsch_rep
-from nottingham.series import _KRONECKER, _LEAF, Series, _conv, _eliminate, _mul, _mul_rows
+from nottingham.series import (
+    _KRONECKER, _LEAF, _TWIG, Series, _conv, _eliminate, _mul, _mul_rows)
 
 from support import (
     coefficientwise_nth_root,
@@ -30,7 +32,7 @@ from support import (
 )
 
 PRIMES = (2, 3, 5, 7, 257)
-EDGE_N = (0, 1, 2, _LEAF - 1, _LEAF, _LEAF + 1, 2 * _LEAF + 1)
+EDGE_N = (0, 1, 2, _TWIG - 1, _TWIG, _TWIG + 1, _LEAF - 1, _LEAF, _LEAF + 1, 2 * _LEAF + 1)
 
 
 def sparse_inner(rng, p, n):
@@ -113,17 +115,32 @@ def test_bit_slots_hold_all_ones_squares(n):
 
 
 def test_bit_slots_at_the_composition_leaf_shape():
-    """32 packed rows of 65 against g: the (4128, 65) product of a leaf
-    level of composition at N = 4096, whole and truncated."""
+    """r packed rows of n1 against g, whole and truncated: (128, 17), packed
+    to 4,224 slots, is the deepest level's row product of composition at
+    N = 2048 (leaves of 9 coefficients); (32, 65) packs to 4,128 slots."""
     rng = np.random.default_rng(500)
-    rows, g = rng.integers(0, 2, (32, 65)), rng.integers(0, 2, 65)
-    packed = np.concatenate([rows, np.zeros((32, 64), dtype=np.int64)], axis=1).ravel()
-    assert packed.shape == (4128,)
-    for n1 in (4128 + 64, 4128, 1000):
-        got = _conv(packed, g, 2, n1, packed=True)
-        assert np.array_equal(got, np.convolve(packed, g)[:n1] % 2), n1
-    want = np.array([np.convolve(row, g)[:65] % 2 for row in rows])
-    assert np.array_equal(_mul_rows(rows, g, 2), want)
+    for r, n1 in ((32, 65), (128, 17)):
+        rows, g = rng.integers(0, 2, (r, n1)), rng.integers(0, 2, n1)
+        packed = np.concatenate([rows, np.zeros((r, n1 - 1), dtype=np.int64)], axis=1).ravel()
+        assert packed.shape == (r * (2 * n1 - 1),)
+        for k in (packed.size + n1 - 1, packed.size, 1000):
+            got = _conv(packed, g, 2, k, packed=True)
+            assert np.array_equal(got, np.convolve(packed, g)[:k] % 2), (r, n1, k)
+        want = np.array([np.convolve(row, g)[:n1] % 2 for row in rows])
+        assert np.array_equal(_mul_rows(rows, g, 2), want), (r, n1)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_squares_match_products_of_a_copy(p):
+    """_conv(a, a) packs one int and squares it; _mul(a, a) passes one
+    slice above a's valuation.  Both equal the product with a copy."""
+    rng = random.Random(505 + p)
+    for n in (_KRONECKER, 3 * _KRONECKER + 1):
+        a = residues(rng, p, n)
+        for n1 in (2 * n - 1, n, n // 2):
+            assert np.array_equal(_conv(a, a, p, n1), _conv(a, a.copy(), p, n1)), (n, n1)
+        a[:5] = 0
+        assert np.array_equal(_mul(a, a, p), _mul(a, a.copy(), p)), n
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -160,6 +177,35 @@ def test_compose_matches_horner_at_1000(p):
     rng = random.Random(410 + p)
     f = random_series(rng, p, 1000)
     g = random_no_constant(rng, p, 1000)
+    assert f.compose(g) == horner_compose(f, g)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 13, 257))
+def test_compose_matches_horner_where_the_split_stops(p):
+    """N + 1 on each side of _TWIG and of p^2: a series splits while it is
+    longer than _TWIG and at least p^2 long.  At p = 257, p^2 = 66,049
+    coefficients would take the oracle hours, so only the _TWIG edges run."""
+    rng = random.Random(415 + p)
+    edges = (_TWIG, _TWIG + 1) + ((p * p - 1, p * p, p * p + 1) if p < 257 else ())
+    for n1 in edges:
+        f, g = random_series(rng, p, n1 - 1), random_no_constant(rng, p, n1 - 1)
+        assert f.compose(g) == horner_compose(f, g), (p, n1)
+
+
+def test_compose_leaf_ladder_without_horner_steps():
+    """p = 2, N = 384: 32 leaves of L = 13, so m = min(L, isqrt(32*L)) = L
+    and the leaves are one matmul against g^0, ..., g^12."""
+    rng = random.Random(417)
+    f, g = random_series(rng, 2, 384), random_no_constant(rng, 2, 384)
+    assert f.compose(g) == horner_compose(f, g)
+
+
+@pytest.mark.parametrize("p", [11, 257])
+def test_compose_leaf_ladder_with_horner_steps(p):
+    """N = 384: at p = 11, 11 leaves of L = 35 and m = isqrt(11*35) = 19 < L;
+    at p = 257 no split (p^2 > 385), one leaf of 385 and m = 19."""
+    rng = random.Random(418 + p)
+    f, g = random_series(rng, p, 384), random_no_constant(rng, p, 384)
     assert f.compose(g) == horner_compose(f, g)
 
 

@@ -4,8 +4,8 @@ Derandomized, so every run draws the same examples.  Each property holds
 for every prime and precision: m-th roots, reversion, group inverses and
 the order-p representatives, at p in {2, 3, 5, 7, 257} and N up to 300;
 composition against the Horner ladder and associativity of the group law
-at p in {2, 3, 5, 7}, where N above 128 splits into several leaves that
-share one block ladder.
+at p in {2, 3, 5, 7}, where every N + 1 above 16 and at least p^2 splits
+into several leaves that share one block ladder.
 """
 
 from hypothesis import given, settings

@@ -205,6 +205,15 @@ def test_scalar_and_int_operations():
     assert (t * 0).is_zero()
 
 
+@pytest.mark.parametrize("p", [2, 3, 257])
+@pytest.mark.parametrize("k", [10 ** 30, 2 ** 63, -(2 ** 63) - 1, -(10 ** 30)])
+def test_int_operands_beyond_int64_are_reduced_first(p, k):
+    s = Series(p, 8, [0, 1, 1])
+    r = k % p
+    assert s + k == s + r and k + s == r + s
+    assert s - k == s - r and k - s == r - s
+
+
 def test_pow():
     t = Series.gen(3, 8)
     assert (1 + t) ** 0 == Series.one(3, 8)
