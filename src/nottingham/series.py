@@ -230,18 +230,18 @@ def _eliminate(a, p):
 
 
 def _reversion(a, p):
-    """Newton iteration g <- g - (f(g) - t)/f'(g), doubling the correct
-    coefficients of g in any characteristic: f(g + e) = f(g) + f'(g)*e
-    mod e^2, and f'(g)(0) = f_1 is a unit.  Short series: elimination."""
+    """Newton iteration g <- g - (f(g) - t)/f'(g) doubles the correct
+    coefficients of g in any characteristic.  No reciprocal: by the chain
+    rule, f(g) = t mod t^h gives 1/f'(g) = g' mod t^(h-1), and n1 - h <= h - 1.
+    One composition and one product per step; short series: elimination."""
     n1 = a.shape[0]
     if n1 <= _LEAF:
         return _eliminate(a, p)
-    h, d = (n1 + 1) // 2, n1 // 2
-    g = np.concatenate([_reversion(a[:h], p), _zeros(d)])
-    df = (a[1:d + 1] * np.arange(1, d + 1)) % p     # f' mod t^d
-    # f(g) = t mod t^h, so f(g) - t is t^h times f(g)'s tail from t^h
-    corr = _mul(_compose(a, g, p)[h:], _reciprocal(_compose(df, g[:d], p), p), p)
-    g[h:] = (g[h:] - corr) % p
+    h = n1 // 2 + 1
+    g = np.concatenate([_reversion(a[:h], p), _zeros(n1 - h)])
+    dg = (g[1:n1 - h + 1] * np.arange(1, n1 - h + 1)) % p      # g' mod t^(n1-h)
+    # f(g) - t is t^h times f(g)'s tail from t^h
+    g[h:] = (g[h:] - _mul(_compose(a, g, p)[h:], dg, p)) % p
     return g
 
 

@@ -245,7 +245,7 @@ def test_nth_root_matches_coefficientwise(p):
 @pytest.mark.parametrize("p", PRIMES)
 def test_reversion_matches_elimination(p):
     rng = random.Random(450 + p)
-    for n in (_LEAF - 1, _LEAF, _LEAF + 1, 2 * _LEAF + 1, 1000):
+    for n in (_LEAF - 1, _LEAF, _LEAF + 1, 2 * _LEAF - 1, 2 * _LEAF, 2 * _LEAF + 1, 1000):
         f = random_invertible(rng, p, n)
         assert f.reversion() == Series(p, n, _eliminate(f.coeffs, p)), (p, n)
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from nottingham import (
@@ -194,6 +196,20 @@ def test_corrupted_sigma_flips_dependent_checks():
     assert by_name["route_agreement"].first_failure_exponent == 6
     line = by_name["route_agreement"].render()
     assert line == "route_agreement: FAIL first_failure_exponent=6"
+
+
+def test_corrupted_relation_root_flips_dependent_checks():
+    # add t^20 to w: the checks that read w fail where the relation breaks
+    b = sigma_bundle(64)
+    tampered = replace(b, relation_root=b.relation_root + Series.from_terms(2, 64, {20: 1}))
+    assert run_checks(tampered).render() == (
+        "artin_schreier: PASS\n"
+        "factorization: PASS\n"
+        "ring_relation: FAIL first_failure_exponent=20\n"
+        "equivariance: FAIL first_failure_exponent=21\n"
+        "order_four: PASS\n"
+        "route_agreement: FAIL first_failure_exponent=20\n"
+    )
 
 
 def test_order_four_certificate_moderate_precision():
