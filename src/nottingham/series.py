@@ -10,8 +10,9 @@ the only way to lower precision.
 All arithmetic is exact integer arithmetic; nothing here touches floating
 point.  A product is one _conv: an int64 convolution, or Kronecker
 substitution (one big-int product of packed coefficients) if long, with one
-bit per coefficient at p = 2 and byte slots otherwise.  Over F_p a p-th
-power is a coefficient spread, f(t)^p = f(t^p), which p-th powers,
+bit per coefficient at p = 2 and byte slots otherwise; longer p = 2 products
+take a carry-less byte-table kernel.  Over F_p a p-th power is a coefficient
+spread, f(t)^p = f(t^p), which p-th powers (and p = 2 squares),
 Artin-Schreier roots and composition use.  Composition is Bernstein's
 Frobenius split, O(p*M(N)*log_p N) for M(N) one product's cost, one tree
 level at a time: a block ladder sized by the number of leaves evaluates all
@@ -53,6 +54,12 @@ _LEAF = 64      # series this short revert by elimination
 # Shorter-operand length where Kronecker (16-bit slots, or bit slots at p = 2)
 # overtakes np.convolve (2-vCPU Xeon); wider byte slots raise it by width cubed.
 _KRONECKER = 80
+# At p = 2 the byte-table kernel overtakes bit slots from a shorter operand of
+# _CLMUL coefficients, or row products of _CLMUL in rows of _CLMUL_ROWS; it
+# gathers about _BLOCK bytes at a time.
+_CLMUL = 640
+_CLMUL_ROWS = 128
+_BLOCK = 1 << 18
 
 
 def _check_trunc(trunc, least=0):
@@ -86,17 +93,62 @@ def _bits(a, s):
     return int.from_bytes(np.packbits(m, bitorder="little").tobytes(), "little")
 
 
+def _clmul(rows, b, n1):
+    """The first n1 coefficients of each row of a 0/1 array times b over F_2,
+    carry-less (Brent, Gaudry, Thome and Zimmermann 2008): every byte of a
+    bit-packed row gathers a row of the 256-entry table of b's multiples by
+    one byte, XOR-reduced in uint64 words, in blocks of kb <= 128 row bytes
+    that gather about _BLOCK bytes."""
+    r = rows.shape[0]
+    a = np.packbits(rows[:, :n1], axis=1, bitorder="little")
+    nout = (n1 + 7) // 8
+    w = (min(len(b), n1) + 7) // 8      # bytes of b[:n1]
+    kb = min(128, max(8, _BLOCK // (r * w)), a.shape[1])
+    x = int.from_bytes(np.packbits(b[:n1], bitorder="little").tobytes(), "little")
+    out = np.zeros((r, nout + w + kb + 8), dtype=np.uint8)
+    wg = 0
+    for k in range(0, a.shape[1], kb):
+        # build the table, and again without the columns past n1 once they are
+        # half of it and 1024 row bytes remain
+        if not wg or 2 * (nout - k + kb + 7) < wg and r * (a.shape[1] - k) > 1024:
+            w = min(w, nout - k)
+            wg = (w + kb + 7) // 8 * 8 + 1      # b's w bytes, shifted, then zeros: wg - 1 words
+            y = x & ((1 << 8 * w) - 1)
+            # from the pairs (0, b << j), each pass XORs every group's high half onto its low half
+            table = np.frombuffer(b"".join(bytes(wg) + (y << j).to_bytes(wg, "little")
+                                           for j in range(8)), np.uint8)
+            for groups in (4, 2, 1):
+                t = table.reshape(groups, 2, -1, wg)
+                table = (t[:, 1, :, None] ^ t[:, 0, None]).reshape(-1, wg)
+        g = np.take(table, a[:, k:k + kb], axis=0)
+        # g read with row stride wg - 1: the table row of block byte j lands at offset j
+        skew = np.ndarray((r, g.shape[1], wg // 8), np.uint64, g, 0, (g.shape[1] * wg, wg - 1, 8))
+        out[:, k:k + wg - 1] ^= np.bitwise_xor.reduce(skew, axis=1).view(np.uint8)
+    return np.unpackbits(out, axis=1, count=n1, bitorder="little").astype(_DT)
+
+
 def _conv(a, b, p, n1, packed=False):
     """The first n1 < len(a) + len(b) coefficients of a*b mod p, for arrays of
-    canonical residues: np.convolve, or Kronecker if long or packed (_mul_rows),
+    canonical residues, or of each row times b for an (r, m) array a.  At
+    p = 2, _clmul from _CLMUL coefficients (both operands, each up to its last
+    nonzero coefficient; rows: r*m of them, m >= _CLMUL_ROWS).  Otherwise
+    np.convolve, or Kronecker if long or packed (rows 2*m - 1 slots apart),
     in slots that hold n*(p-1)^2, n the shorter length: at p = 2 one bit per
-    coefficient in n.bit_length() bits, read mod 2 at bit 0; else 16, 32 or 64 bits."""
+    coefficient in n.bit_length() bits, read mod 2 at bit 0; else 16, 32 or
+    64 bits."""
+    if a.ndim == 2:
+        if p == 2 and a.size >= _CLMUL and a.shape[1] >= _CLMUL_ROWS:
+            return _clmul(a, b, n1)
+        x = np.concatenate([a, _zeros((len(a), a.shape[1] - 1))], axis=1).ravel()
+        return _conv(x, b, p, x.size, packed=True).reshape(len(a), -1)[:, :n1]
+    # high zero coefficients make bit slots shorter, not the kernel
+    if p == 2 and len(a) >= _CLMUL <= len(b) and a[_CLMUL - 1:].any() and b[_CLMUL - 1:].any():
+        return _clmul(a[None], b, n1)[0]
     if packed or len(a) >= _KRONECKER <= len(b):     # wider slots only raise the crossover
         n = min(len(a), len(b))
         if p == 2:
             s = n.bit_length()
-            x = _bits(a, s)
-            x *= x if b is a else _bits(b, s)       # a square takes CPython's squaring path
+            x = _bits(a, s) * _bits(b, s)
             c = np.frombuffer(x.to_bytes(((len(a) + len(b)) * s + 7) // 8, "little"), np.uint8)
             return np.unpackbits(c, count=n1 * s, bitorder="little")[::s].astype(_DT)
         bound = n * (p - 1) ** 2
@@ -112,8 +164,10 @@ def _conv(a, b, p, n1, packed=False):
 
 def _mul(a, b, p):
     """Product in F_p[t]/(t^n1), n1 = len(a): _conv above the valuations,
-    of one slice if b is a."""
+    of one slice if b is a; at p = 2 a square is the spread a(t^2)."""
     n1 = a.shape[0]
+    if p == 2 and b is a:
+        return _substitute(a, 2, n1)
     va = int((a != 0).argmax())
     vb = int((b != 0).argmax())
     out = _zeros(n1)
@@ -125,13 +179,12 @@ def _mul(a, b, p):
 
 
 def _mul_rows(rows, g, p):
-    """rows[i]*g mod t^n1 for each row of an (r, n1) array, by one _conv with
-    the rows packed 2*n1 - 1 slots apart; a single row goes to _mul."""
+    """rows[i]*g mod t^n1 for each row of an (r, n1) array, by one _conv;
+    a single row goes to _mul."""
     r, n1 = rows.shape
     if r == 1:
         return _mul(rows[0], g, p)[None]
-    packed = np.concatenate([rows, _zeros((r, n1 - 1))], axis=1).ravel()
-    return _conv(packed, g[:n1], p, packed.size, packed=True).reshape(r, -1)[:, :n1]
+    return _conv(rows, g[:n1], p, n1)
 
 
 def _substitute(a, q, n1):

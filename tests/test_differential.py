@@ -1,13 +1,14 @@
 """Fast kernel paths against the slow oracles in support.py.
 
 Long products run Kronecker substitution (one bit per coefficient at p = 2,
-byte slots otherwise), composition runs the Frobenius split one level at a
-time above the block-ladder leaves (at most _TWIG coefficients, or fewer
-than p^2), each level's rows multiplied by g in one packed product, p-th
-powers and Artin-Schreier squares run as coefficient spreads, m-th roots
-and reversion (above the elimination leaf) run Newton iteration, and
-klopsch_rep works in x = t^m; each is checked for bit-equality against an
-algorithm that does none of that.
+byte slots otherwise) or, longer still at p = 2, a carry-less byte-table
+kernel, p = 2 squares are spreads, composition runs the Frobenius split
+one level at a time above the block-ladder leaves (at most _TWIG
+coefficients, or fewer than p^2), each level's rows multiplied by g in one
+packed product, p-th powers and Artin-Schreier squares run as coefficient
+spreads, m-th roots and reversion (above the elimination leaf) run Newton
+iteration, and klopsch_rep works in x = t^m; each is checked for
+bit-equality against an algorithm that does none of that.
 """
 
 import random
@@ -15,9 +16,11 @@ import random
 import numpy as np
 import pytest
 
+from nottingham import series
 from nottingham.group import GroupElement, klopsch_rep
 from nottingham.series import (
-    _KRONECKER, _LEAF, _TWIG, Series, _conv, _eliminate, _mul, _mul_rows)
+    _CLMUL, _CLMUL_ROWS, _KRONECKER, _LEAF, _TWIG, Series, _clmul, _conv, _eliminate, _mul,
+    _mul_rows)
 
 from support import (
     coefficientwise_nth_root,
@@ -158,6 +161,153 @@ def test_mul_rows_matches_per_row_mul(p):
             g[0] = 0
             want = np.array([_mul(row, g, p) for row in rows])
             assert np.array_equal(_mul_rows(rows, g, p), want), (p, n1, r)
+
+
+def bits(rng, *shape):
+    return np.array(rng.integers(0, 2, shape), dtype=np.int64)
+
+
+def convolve_rows(rows, b, n1):
+    return np.array([np.convolve(row, b)[:n1] % 2 for row in rows]).reshape(len(rows), n1)
+
+
+# A byte of a bit-packed row gathers one table row: lengths on each side of
+# the byte edges, with rows of one, several and many blocks of kb row bytes.
+BYTE_EDGES = (1, 7, 8, 9, 15, 16, 17)
+
+
+@pytest.mark.parametrize("block", [series._BLOCK, 1])
+def test_clmul_at_byte_edges(monkeypatch, block):
+    """Every pair of lengths at the byte edges, all-ones and random, 1, 2 and
+    27 rows, n1 the full product, the row length and below it.  A _BLOCK of
+    1 walks 8 row bytes at a time and drops table columns past n1."""
+    monkeypatch.setattr(series, "_BLOCK", block)
+    rng = np.random.default_rng(520)
+    lengths = BYTE_EDGES + (100, 301)
+    for m in lengths:
+        for lb in lengths:
+            for r in (1, 2, 27):
+                for rows, b in ((np.ones((r, m), dtype=np.int64), np.ones(lb, dtype=np.int64)),
+                                (bits(rng, r, m), bits(rng, lb))):
+                    for n1 in {m + lb - 1, m, max(1, m - 5)}:
+                        got = _clmul(rows, b, n1)
+                        assert np.array_equal(got, convolve_rows(rows, b, n1)), (m, lb, r, n1)
+
+
+def test_conv_takes_the_byte_table_kernel_at_its_crossover():
+    """Shorter operand _CLMUL - 1 (bit slots), _CLMUL and _CLMUL + 1 (the
+    kernel), in the shapes of _mul, of the reciprocal's steps and whole; an
+    operand counts up to its last nonzero coefficient."""
+    rng = np.random.default_rng(530)
+    for n in (_CLMUL - 1, _CLMUL, _CLMUL + 1):
+        for la, lb, n1 in ((n, n, n), (2 * n, n, 2 * n), (n, 2 * n, 2 * n), (n, n + 3, 2 * n + 2)):
+            ones = np.ones(la, dtype=np.int64), np.ones(lb, dtype=np.int64)
+            for a, b in ((bits(rng, la), bits(rng, lb)), ones):
+                assert np.array_equal(_conv(a, b, 2, n1), np.convolve(a, b)[:n1] % 2), (la, lb, n1)
+    # both sides of the last-nonzero rule: 1 + t^e against a dense operand
+    b = bits(rng, 2 * _CLMUL)
+    for e in (_CLMUL - 2, _CLMUL - 1):
+        a = np.zeros(2 * _CLMUL, dtype=np.int64)
+        a[[0, e]] = 1
+        for x, y in ((a, b), (b, a)):
+            assert np.array_equal(_conv(x, y, 2, 2 * _CLMUL), np.convolve(x, y)[:2 * _CLMUL] % 2), e
+
+
+def test_mul_rows_takes_the_byte_table_kernel_at_its_crossover():
+    """Rows take the kernel from r*m = _CLMUL coefficients in rows of m =
+    _CLMUL_ROWS: each side of both edges, 1, 2 and 27 rows, one row with a
+    valuation and one zero, and all ones."""
+    rng = np.random.default_rng(540)
+    m0, c = _CLMUL_ROWS, _CLMUL
+    shapes = [(r, m) for r in (1, 2, 27) for m in (m0 - 1, m0, m0 + 1)]
+    shapes += [(r, c // r + d) for r in (2, 4) for d in (-1, 0, 1)]
+    for r, m in shapes:
+        rows = bits(rng, r, m)
+        rows[0, :m // 3] = 0
+        if r > 1:
+            rows[-1] = 0
+        g = bits(rng, m + 5)
+        g[0] = 0
+        assert np.array_equal(_mul_rows(rows, g, 2), convolve_rows(rows, g, m)), (r, m)
+        ones = np.ones((r, m), dtype=np.int64)
+        assert np.array_equal(_mul_rows(ones, g, 2), convolve_rows(ones, g, m)), (r, m)
+
+
+def test_conv_routes_to_the_byte_table_kernel(monkeypatch):
+    """The kernel runs exactly from its crossovers: a shorter operand of
+    _CLMUL, counted to its last nonzero coefficient, and row products of
+    _CLMUL coefficients in rows of at least _CLMUL_ROWS."""
+    calls = []
+    monkeypatch.setattr(series, "_clmul", lambda *args: calls.append(args) or _clmul(*args))
+    ones = np.ones(2 * _CLMUL, dtype=np.int64)
+    for a, b, want in ((ones[:_CLMUL - 1], ones, 0), (ones[:_CLMUL], ones, 1),
+                       (np.eye(1, 2 * _CLMUL, _CLMUL - 2, dtype=np.int64)[0], ones, 0),
+                       (np.eye(1, 2 * _CLMUL, _CLMUL - 1, dtype=np.int64)[0], ones, 1)):
+        calls.clear()
+        _conv(a, b, 2, len(a))
+        _conv(a, b, 3, len(a))
+        assert len(calls) == want, (len(a), np.flatnonzero(a))
+    m0 = _CLMUL_ROWS
+    for r, m, want in ((-(-_CLMUL // m0), m0, 1), (-(-_CLMUL // m0) + 1, m0 - 1, 0),
+                       (2, _CLMUL // 2, 1), (2, _CLMUL // 2 - 1, 0)):
+        calls.clear()
+        rows = np.ones((r, m), dtype=np.int64)
+        _mul_rows(rows, ones, 2)
+        _mul_rows(rows, ones, 3)
+        assert len(calls) == want, (r, m)
+
+
+@pytest.mark.parametrize("n", [1023, 1024, 1025])
+def test_clmul_around_a_block_edge(n):
+    """128 row bytes are one block at this length: 1,024 coefficients fill
+    it, 1,025 start a second."""
+    rng = np.random.default_rng(550 + n)
+    a, b = bits(rng, n), bits(rng, n)
+    for n1 in (n, 2 * n - 1, n - 9):
+        assert np.array_equal(_conv(a, b, 2, n1), np.convolve(a, b)[:n1] % 2), n1
+    assert np.array_equal(_mul_rows(np.stack([a, b]), b, 2), convolve_rows([a, b], b, n))
+
+
+def test_clmul_at_2_16_plus_1(monkeypatch):
+    """Blocks of 32 row bytes and a table that drops columns past n1.  A
+    product with all ones is a running sum, np.convolve(a, ones) =
+    np.cumsum(a); all ones squared has coefficient k equal to k + 1 below
+    n.  The random product is checked against the bit slots, which the
+    crossover tests check against np.convolve."""
+    n = 2 ** 16 + 1
+    rng = np.random.default_rng(560)
+    a, b, ones = bits(rng, n), bits(rng, n), np.ones(n, dtype=np.int64)
+    k = np.arange(2 * n - 1)
+    assert np.array_equal(_conv(ones, ones, 2, 2 * n - 1),
+                          np.minimum(k + 1, 2 * n - 1 - k) % 2)
+    assert np.array_equal(_conv(a, ones, 2, n), np.cumsum(a) % 2)
+    assert np.array_equal(_mul_rows(np.stack([a, b])[:, :n // 2], ones, 2),
+                          np.stack([np.cumsum(a[:n // 2]) % 2, np.cumsum(b[:n // 2]) % 2]))
+    got = _mul(a, b, 2)
+    monkeypatch.setattr(series, "_CLMUL", 2 * n)
+    assert np.array_equal(got, _mul(a, b, 2))
+
+
+def test_p2_squares_are_spreads():
+    """At p = 2, _mul(a, a) is a(t^2): dense, sparse and with a valuation,
+    against the product with a copy by naive_product."""
+    rng = random.Random(570)
+    for n in (0, 1, 2, 17, 150):
+        dense = random_series(rng, 2, n)
+        sparse = Series.from_terms(2, n, {e: 1 for e in rng.sample(range(n + 1), min(n + 1, 4))})
+        shifted = Series(2, n, [0] * min(n, 5) + [1] + [rng.randrange(2) for _ in range(n - 5)])
+        for f in (dense, sparse, shifted):
+            copy = Series(2, n, f.coeffs.copy())
+            assert Series(2, n, _mul(f.coeffs, f.coeffs, 2)) == naive_product(f, copy), n
+            assert f * f == naive_product(f, f), n
+
+
+def test_p2_powers_through_spread_squares_match_naive():
+    rng = random.Random(580)
+    for n in (5, 120):
+        for f in (random_series(rng, 2, n), random_invertible(rng, 2, n)):
+            for k in (2, 3, 6, 7, 1001):
+                assert f ** k == naive_power(f, k), (n, k)
 
 
 @pytest.mark.parametrize("p", PRIMES)
