@@ -50,7 +50,7 @@ _DT = np.int64
 # 257): int64 sums are exact, and so is every slot of _conv.
 MAX_TRUNC = 2 ** 20
 _TWIG = 16      # series this short are composition leaves, evaluated by the block ladder
-_LEAF = 64      # series this short revert by elimination
+_LEAF = 32      # series this short revert by elimination
 # Shorter-operand length where Kronecker (16-bit slots, or bit slots at p = 2)
 # overtakes np.convolve (2-vCPU Xeon); wider byte slots raise it by width cubed.
 _KRONECKER = 80
@@ -132,33 +132,40 @@ def _conv(a, b, p, n1, packed=False):
     canonical residues, or of each row times b for an (r, m) array a.  At
     p = 2, _clmul from _CLMUL coefficients (both operands, each up to its last
     nonzero coefficient; rows: r*m of them, m >= _CLMUL_ROWS).  Otherwise
-    np.convolve, or Kronecker if long or packed (rows 2*m - 1 slots apart),
-    in slots that hold n*(p-1)^2, n the shorter length: at p = 2 one bit per
-    coefficient in n.bit_length() bits, read mod 2 at bit 0; else 16, 32 or
-    64 bits."""
-    if a.ndim == 2:
-        if p == 2 and a.size >= _CLMUL and a.shape[1] >= _CLMUL_ROWS:
-            return _clmul(a, b, n1)
-        x = np.concatenate([a, _zeros((len(a), a.shape[1] - 1))], axis=1).ravel()
-        return _conv(x, b, p, x.size, packed=True).reshape(len(a), -1)[:, :n1]
-    # high zero coefficients make bit slots shorter, not the kernel
-    if p == 2 and len(a) >= _CLMUL <= len(b) and a[_CLMUL - 1:].any() and b[_CLMUL - 1:].any():
-        return _clmul(a[None], b, n1)[0]
-    if packed or len(a) >= _KRONECKER <= len(b):     # wider slots only raise the crossover
-        n = min(len(a), len(b))
-        if p == 2:
-            s = n.bit_length()
-            x = _bits(a, s) * _bits(b, s)
-            c = np.frombuffer(x.to_bytes(((len(a) + len(b)) * s + 7) // 8, "little"), np.uint8)
-            return np.unpackbits(c, count=n1 * s, bitorder="little")[::s].astype(_DT)
-        bound = n * (p - 1) ** 2
-        w = 2 if bound < 1 << 16 else 4 if bound < 1 << 32 else 8     # slot bytes
-        if packed or n >= _KRONECKER * (w // 2) ** 3:
-            dt = f"<u{w}"
-            x = int.from_bytes(a.astype(dt).tobytes(), "little")
-            x *= x if b is a else int.from_bytes(b.astype(dt).tobytes(), "little")
-            c = x.to_bytes((len(a) + len(b)) * w, "little")
-            return (np.frombuffer(c, dtype=dt, count=n1) % p).astype(_DT)
+    np.convolve, or Kronecker if long, packed or rows (m + len(b) - 1 slots
+    apart), in slots that hold n*(p-1)^2, n the shorter length: at p = 2 one
+    bit per coefficient in n.bit_length() bits, read mod 2 at bit 0; else 16,
+    32 or 64 bits."""
+    rows = a.ndim == 2
+    if p == 2 and (a.size >= _CLMUL and a.shape[1] >= _CLMUL_ROWS if rows else
+                   # high zero coefficients make bit slots shorter, not the kernel
+                   len(a) >= _CLMUL <= len(b) and a[_CLMUL - 1:].any() and b[_CLMUL - 1:].any()):
+        return _clmul(a, b, n1) if rows else _clmul(a[None], b, n1)[0]
+    if rows or packed or len(a) >= _KRONECKER <= len(b):     # wider slots only raise the crossover
+        n = min(a.shape[-1], len(b))
+        if p != 2:
+            bound = n * (p - 1) ** 2
+            w = 2 if bound < 1 << 16 else 4 if bound < 1 << 32 else 8     # slot bytes
+        if p == 2 or rows or packed or n >= _KRONECKER * (w // 2) ** 3:
+            dt = np.uint8 if p == 2 else f"<u{w}"
+            if rows:        # row i from slot i*(m + len(b) - 1), past its product's end
+                r, m = a.shape
+                x = np.zeros((r, m + len(b) - 1), dt)
+                x[:, :m] = a
+                a = x.ravel()
+            count = len(a) if rows else n1
+            if p == 2:
+                s = n.bit_length()
+                x = _bits(a, s) * _bits(b, s)
+                c = np.frombuffer(x.to_bytes(((len(a) + len(b)) * s + 7) // 8, "little"), np.uint8)
+                c = np.unpackbits(c, count=count * s, bitorder="little")[::s]
+            else:
+                x = int.from_bytes(a.astype(dt, copy=False).tobytes(), "little")
+                x *= x if b is a else int.from_bytes(b.astype(dt).tobytes(), "little")
+                c = np.frombuffer(x.to_bytes((len(a) + len(b)) * w, "little"), dt, count=count)
+            if rows:
+                c = c.reshape(r, -1)[:, :n1]
+            return (c if p == 2 else c % p).astype(_DT)
     return np.convolve(a, b)[:n1] % p
 
 
@@ -179,12 +186,12 @@ def _mul(a, b, p):
 
 
 def _mul_rows(rows, g, p):
-    """rows[i]*g mod t^n1 for each row of an (r, n1) array, by one _conv;
-    a single row goes to _mul."""
+    """rows[i]*g mod t^n1 for each row of an (r, n1) array, by one _conv; a
+    single row by a 1-D _conv, or as a multiple of g if it is constant."""
     r, n1 = rows.shape
-    if r == 1:
-        return _mul(rows[0], g, p)[None]
-    return _conv(rows, g[:n1], p, n1)
+    if r == 1 and not rows[0, 1:].any():
+        return rows[:, :1] * g[:n1] % p
+    return _conv(rows if r > 1 else rows[0], g[:n1], p, n1).reshape(r, n1)
 
 
 def _substitute(a, q, n1):
@@ -234,8 +241,9 @@ def _compose(f, g, p):
     N//p.  Node r of level k is f[r::p^k]: the q = p^K leaves (at most _TWIG
     coefficients, or p^2 > L: the root alone) are the rows of one (q, L)
     matrix for the block ladder, blocks of m = min(L, isqrt(q*L)) coefficients
-    against the rows g^0, ..., g^m, Horner in g^m when m < L.  Each level up
-    is p - 1 row products by g, child i into [::p]."""
+    against the rows g^0, ..., g^m (g^j one _conv from t^j on, as g(0) = 0),
+    Horner in g^m when m < L.  Each level up is p - 1 row products by g,
+    child i into [::p]."""
     lens = [f.shape[0]]
     while lens[-1] > _TWIG and p * p <= lens[-1]:
         lens.append((lens[-1] - 1) // p + 1)
@@ -244,8 +252,8 @@ def _compose(f, g, p):
     m = max(1, min(n1, math.isqrt(q * n1)))     # m ladder products balance n1/m row products of q rows
     pows = _zeros((m + 1, n1))
     pows[0, 0] = 1
-    for j in range(1, min(m + 1, n1)):          # g^j = 0 mod t^n1 for j >= n1, as g(0) = 0
-        pows[j] = _mul(pows[j - 1], g[:n1], p)
+    for j in range(1, min(m + 1, n1)):          # g^j = 0 mod t^n1 for j >= n1
+        pows[j, j:] = _conv(pows[j - 1, j - 1:-1], g[1:n1 - j + 1], p, n1 - j)
     nb = -(-n1 // m)            # blocks per leaf
     leaves = np.concatenate([f, _zeros(q * nb * m - f.shape[0])]).reshape(nb * m, q).T
     acc = leaves[:, -m:] @ pows[:m] % p
@@ -263,22 +271,23 @@ def _compose(f, g, p):
 
 def _eliminate(a, p):
     """Reversion by degree-by-degree elimination, about n1 products: the t^n
-    coefficient of the running sum of g_k a^k = t pins g_n (pivot a_1^n)."""
+    coefficient of the running sum of g_k a^k = t pins g_n (pivot a_1^n).
+    a^n has valuation n, so each a^n is one _conv from t^n on."""
     n1 = a.shape[0]
     inv_f1 = pow(int(a[1]), -1, p)
     g = _zeros(n1)
     g[1] = inv_f1
-    apow = a.copy()                 # a^n as n advances
-    acc = (inv_f1 * apow) % p       # sum of g_k a^k over known k
+    apow = a.copy()                 # a^n as n advances, from t^n on
+    acc = (inv_f1 * apow) % p       # sum of g_k a^k over known k, from t^n on
     inv_pow = inv_f1                # 1 / a_1^n
     for n in range(2, n1):
-        apow = _mul(apow, a, p)
+        apow[n:] = _conv(apow[n - 1:-1], a[1:n1 - n + 1], p, n1 - n)
         inv_pow = (inv_pow * inv_f1) % p
         c = int(acc[n])
         if c:
             gn = (-c * inv_pow) % p
             g[n] = gn
-            acc = (acc + gn * apow) % p
+            acc[n:] = (acc[n:] + gn * apow[n:]) % p
     return g
 
 

@@ -3,8 +3,9 @@
 Every generator takes an explicit random.Random so each test controls its
 own seed.  naive_product is a reference oracle: a plain double loop over
 Python ints, deliberately independent of the numpy kernel it checks.  The
-other oracles are the slow, obvious algorithms the library no longer runs:
-the Horner ladder for composition, the plain-squaring sum for
+other oracles are the slow, obvious algorithms the library no longer runs
+(or runs only below a leaf size): the Horner ladder for composition,
+degree-by-degree elimination for reversion, the plain-squaring sum for
 Artin-Schreier roots and the coefficient-at-a-time m-th root.  They
 multiply with convolve_product, one int64 convolution, which is the
 library's product kernel without Kronecker substitution, so they do not
@@ -103,6 +104,23 @@ def horner_compose(f, g):
     for k in range(n - 1, -1, -1):
         acc = convolve_product(acc, g) + f[k]
     return acc
+
+
+def eliminate_reversion(f):
+    """g with f(g) = t, by degree-by-degree elimination: the t^k coefficient
+    of the running sum of g_j f^j over j < k pins g_k, with pivot f_1^k; the
+    reversion oracle (f(0) = 0, f_1 != 0)."""
+    p, n = f.p, f.trunc
+    inv_f1 = pow(f[1], -1, p)
+    g = [0, inv_f1] + [0] * (n - 1)
+    fpow, acc, inv_pow = f, f * inv_f1, inv_f1
+    for k in range(2, n + 1):
+        fpow = convolve_product(fpow, f)
+        inv_pow = inv_pow * inv_f1 % p
+        if acc[k]:
+            g[k] = -acc[k] * inv_pow % p
+            acc = acc + fpow * g[k]
+    return Series(p, n, g)
 
 
 def summed_artin_schreier_root(f):

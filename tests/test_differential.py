@@ -24,6 +24,8 @@ from nottingham.series import (
 
 from support import (
     coefficientwise_nth_root,
+    convolve_product,
+    eliminate_reversion,
     horner_compose,
     naive_power,
     naive_product,
@@ -161,6 +163,40 @@ def test_mul_rows_matches_per_row_mul(p):
             g[0] = 0
             want = np.array([_mul(row, g, p) for row in rows])
             assert np.array_equal(_mul_rows(rows, g, p), want), (p, n1, r)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_mul_rows_on_one_row(p):
+    """A single row with a valuation, zero, or a constant c (a multiple of
+    g, no product), against one convolution; at p = 2 the longest row is
+    past the byte-table kernel's crossover."""
+    rng = random.Random(495 + p)
+    for n1 in (1, 2, 17, CROSSOVER[p] - 1, CROSSOVER[p] + 1, _CLMUL + 60):
+        g = residues(rng, p, n1 + 3)
+        g[0] = 0
+        shifted = residues(rng, p, n1)
+        shifted[:n1 // 2] = 0
+        constants = [np.eye(1, n1, dtype=np.int64)[0] * c for c in sorted({0, 1, p - 1})]
+        for row in [shifted] + constants:
+            want = convolve_product(Series(p, n1 - 1, row), Series(p, n1 - 1, g[:n1])).coeffs
+            assert np.array_equal(_mul_rows(row[None], g, p), want[None]), (p, n1, row[:3])
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_conv_rows_hold_the_whole_row_product(p):
+    """Rows sit m + len(b) - 1 slots apart, so each row's full product
+    fits before the next: b shorter and longer than the rows, n1 up to
+    the full product, 1 to 5 rows, all entries p - 1 and random."""
+    rng = random.Random(497 + p)
+    for m in (1, 9, 40):
+        for lb in (max(1, m - 5), m, m + 7):
+            for r in (1, 2, 5):
+                full = np.full((r, m), p - 1, dtype=np.int64)
+                for a, b in ((full, np.full(lb, p - 1, dtype=np.int64)),
+                             (np.array([residues(rng, p, m) for _ in range(r)]), residues(rng, p, lb))):
+                    for n1 in {1, m, m + lb - 1}:
+                        want = np.array([np.convolve(row, b)[:n1] % p for row in a])
+                        assert np.array_equal(_conv(a, b, p, n1), want), (p, m, lb, r, n1)
 
 
 def bits(rng, *shape):
@@ -342,6 +378,29 @@ def test_compose_matches_horner_where_the_split_stops(p):
         assert f.compose(g) == horner_compose(f, g), (p, n1)
 
 
+@pytest.mark.parametrize("p", (2, 3, 7, 257))
+def test_compose_at_every_leaf_length(p):
+    """n1 = N + 1 from 1 to _TWIG + 1: one leaf, split once at _TWIG + 1
+    for p = 2 and 3; the ladder builds each g^j from t^j on."""
+    rng = random.Random(419 + p)
+    for n in range(_TWIG + 1):
+        for _ in range(3):
+            f, g = random_series(rng, p, n), random_no_constant(rng, p, n)
+            assert f.compose(g) == horner_compose(f, g), (p, n)
+
+
+@pytest.mark.parametrize("p", (2, 3, 7, 257))
+def test_compose_with_inner_valuation_above_one(p):
+    """g of valuation 2 (dense above it) and sparse g: g^j has valuation
+    above j, and the ladder's products start at t^j regardless."""
+    rng = random.Random(421 + p)
+    for n in (2, 5, _TWIG, _TWIG + 1, 100, 384):
+        dense = Series(p, n, [0, 0] + [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(n - 2)])
+        for g in (dense, sparse_inner(rng, p, n)):
+            f = random_series(rng, p, n)
+            assert f.compose(g) == horner_compose(f, g), (p, n)
+
+
 def test_compose_leaf_ladder_without_horner_steps():
     """p = 2, N = 384: 32 leaves of L = 13, so m = min(L, isqrt(32*L)) = L
     and the leaves are one matmul against g^0, ..., g^12."""
@@ -397,7 +456,22 @@ def test_reversion_matches_elimination(p):
     rng = random.Random(450 + p)
     for n in (_LEAF - 1, _LEAF, _LEAF + 1, 2 * _LEAF - 1, 2 * _LEAF, 2 * _LEAF + 1, 1000):
         f = random_invertible(rng, p, n)
-        assert f.reversion() == Series(p, n, _eliminate(f.coeffs, p)), (p, n)
+        assert f.reversion() == eliminate_reversion(f), (p, n)
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 257))
+def test_eliminate_with_a_unit_other_than_one(p):
+    """a_1 in {2, p - 1}: the pivot a_1^n changes with n.  _eliminate at
+    every length to 20 and around _LEAF, and reversion through the Newton
+    steps above it, against the oracle."""
+    rng = random.Random(455 + p)
+    for n in tuple(range(1, 21)) + (_LEAF - 1, _LEAF, _LEAF + 1, 3 * _LEAF):
+        for a1 in {2, p - 1}:
+            f = random_invertible(rng, p, n)
+            f = Series(p, n, [0, a1] + list(f.coeffs[2:]))
+            want = eliminate_reversion(f)
+            assert Series(p, n, _eliminate(f.coeffs, p)) == want, (p, n, a1)
+            assert f.reversion() == want, (p, n, a1)
 
 
 @pytest.mark.parametrize("p", PRIMES)
