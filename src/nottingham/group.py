@@ -56,6 +56,8 @@ class GroupElement:
             return NotImplemented
         if k < 0:
             raise ValueError("negative powers: use inverse() first")
+        if k.bit_length() > (self.trunc - 1) * (self.p.bit_length() - 1):    # k may reach p^(N-1)
+            k %= self.p ** (self.trunc - 1)     # Lagrange: the group mod t^(N+1) has p^(N-1) elements
         if k == 0:
             return GroupElement.identity(self.p, self.trunc)
         out = None      # set at the lowest set bit, so no product with the identity

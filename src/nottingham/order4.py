@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import WrongCharacteristic
 from .group import GroupElement
-from .series import Series, _check_trunc
+from .series import Series, _check_trunc, _compose_all
 
 CHECK_NAMES = (
     "artin_schreier",
@@ -66,8 +66,9 @@ def _r(trunc):
     return Series(2, trunc, np.ones(trunc + 1, dtype=np.int64))
 
 
-def _algebraic(s, r):
-    return GroupElement(Series.gen(2, s.trunc) * r + s * r * r)
+def _algebraic(w, r):
+    """t*r + s*r^2, from w = s*r."""
+    return GroupElement(Series.gen(2, w.trunc) * r + w * r)
 
 
 def _sigma_coeffs(trunc):
@@ -109,7 +110,8 @@ def relation_root(trunc):
 def sigma_algebraic(trunc):
     """The same element assembled as t*r + s*r^2, r = 1/(1+t)."""
     _check_trunc(trunc, 2)
-    return _algebraic(schreier_root(trunc), _r(trunc))
+    r = _r(trunc)
+    return _algebraic(schreier_root(trunc) * r, r)
 
 
 def sigma_relation(trunc):
@@ -146,11 +148,12 @@ class SigmaBundle:
 def sigma_bundle(trunc):
     _check_trunc(trunc, 8)
     s, r = schreier_root(trunc), _r(trunc)
+    w = s * r
     return SigmaBundle(
         sigma_closed=sigma_closed(trunc),
-        sigma_algebraic=_algebraic(s, r),
+        sigma_algebraic=_algebraic(w, r),
         schreier_root=s,
-        relation_root=s * r,
+        relation_root=w,
     )
 
 
@@ -236,12 +239,14 @@ def run_checks(bundle):
 
     # (d) w(sigma(t)) = w(t) * r: the substitution t -> sigma(t) moves the
     # relation root the same way the automorphism is declared to move it.
-    e = _first_difference(w.compose(sigma.series), w * r)
+    # The same tree walk composes sigma(sigma(t)) for (e).
+    w_sigma, sigma2 = _compose_all([w, sigma.series], sigma.series)
+    e = _first_difference(w_sigma, w * r)
     checks.append(CheckResult("equivariance", e is None, e))
 
     # (e) sigma^4 = id, sigma^2 != id, sigma != id
     ident = GroupElement.identity(2, n)
-    sigma2 = sigma * sigma
+    sigma2 = GroupElement(sigma2)
     sigma4 = sigma2 * sigma2
     e = _first_difference(sigma4.series, ident.series)
     if e is None:

@@ -15,10 +15,11 @@ take a carry-less byte-table kernel.  Over F_p a p-th power is a coefficient
 spread, f(t)^p = f(t^p), which p-th powers (and p = 2 squares),
 Artin-Schreier roots and composition use.  Composition is Bernstein's
 Frobenius split, O(p*M(N)*log_p N) for M(N) one product's cost, one tree
-level at a time: a block ladder sized by the number of leaves evaluates all
-leaves (at most _TWIG coefficients) as rows of a matrix, a level's rows
-multiply by g in one _conv.  Reciprocals, m-th roots and reversion are
-Newton doublings, reversion down to elimination at _LEAF coefficients.
+level at a time and for a stack of outer series at once: a block ladder
+sized by its leaf rows evaluates all leaves (at most _TWIG coefficients)
+as rows of a matrix, a level's rows multiply by g in one _conv.
+Reciprocals, m-th roots and reversion are Newton doublings, reversion down
+to elimination at _LEAF coefficients.
 
 Values are immutable after construction and every operation is a pure
 function of its inputs, so Series objects are safe to share across threads.
@@ -127,12 +128,12 @@ def _clmul(rows, b, n1):
     return np.unpackbits(out, axis=1, count=n1, bitorder="little").astype(_DT)
 
 
-def _conv(a, b, p, n1, packed=False):
+def _conv(a, b, p, n1):
     """The first n1 < len(a) + len(b) coefficients of a*b mod p, for arrays of
     canonical residues, or of each row times b for an (r, m) array a.  At
     p = 2, _clmul from _CLMUL coefficients (both operands, each up to its last
     nonzero coefficient; rows: r*m of them, m >= _CLMUL_ROWS).  Otherwise
-    np.convolve, or Kronecker if long, packed or rows (m + len(b) - 1 slots
+    np.convolve, or Kronecker if long or rows (m + len(b) - 1 slots
     apart), in slots that hold n*(p-1)^2, n the shorter length: at p = 2 one
     bit per coefficient in n.bit_length() bits, read mod 2 at bit 0; else 16,
     32 or 64 bits."""
@@ -141,12 +142,12 @@ def _conv(a, b, p, n1, packed=False):
                    # high zero coefficients make bit slots shorter, not the kernel
                    len(a) >= _CLMUL <= len(b) and a[_CLMUL - 1:].any() and b[_CLMUL - 1:].any()):
         return _clmul(a, b, n1) if rows else _clmul(a[None], b, n1)[0]
-    if rows or packed or len(a) >= _KRONECKER <= len(b):     # wider slots only raise the crossover
+    if rows or len(a) >= _KRONECKER <= len(b):     # wider slots only raise the crossover
         n = min(a.shape[-1], len(b))
         if p != 2:
             bound = n * (p - 1) ** 2
             w = 2 if bound < 1 << 16 else 4 if bound < 1 << 32 else 8     # slot bytes
-        if p == 2 or rows or packed or n >= _KRONECKER * (w // 2) ** 3:
+        if p == 2 or rows or n >= _KRONECKER * (w // 2) ** 3:
             dt = np.uint8 if p == 2 else f"<u{w}"
             if rows:        # row i from slot i*(m + len(b) - 1), past its product's end
                 r, m = a.shape
@@ -236,37 +237,47 @@ def _reciprocal(a, p):
 
 
 def _compose(f, g, p):
-    """f(g) by Bernstein's Frobenius split, one tree level at a time: with
-    f_i = f[i::p], f(g) = sum_{i<p} g^i f_i(g)^p, each f_i(g) at precision
-    N//p.  Node r of level k is f[r::p^k]: the q = p^K leaves (at most _TWIG
-    coefficients, or p^2 > L: the root alone) are the rows of one (q, L)
-    matrix for the block ladder, blocks of m = min(L, isqrt(q*L)) coefficients
-    against the rows g^0, ..., g^m (g^j one _conv from t^j on, as g(0) = 0),
-    Horner in g^m when m < L.  Each level up is p - 1 row products by g,
-    child i into [::p]."""
-    lens = [f.shape[0]]
+    """f[s](g) for each row s of an (r, n1) stack f, by Bernstein's Frobenius
+    split one tree level at a time: with f_i = f[i::p], f(g) = sum_{i<p}
+    g^i f_i(g)^p, each f_i(g) at precision N//p.  Node k of level K is
+    f[k::p^K], in row k*r + s for f[s]: the q*r leaf rows (at most _TWIG
+    coefficients, or p^2 > L: the roots alone) are one matrix for the block
+    ladder, blocks of m = min(L, isqrt(q*r*L)) coefficients against the rows
+    g^0, ..., g^m (g^j one _conv from t^j on, as g(0) = 0), Horner in g^m
+    when m < L.  Each level up is p - 1 row products by g, child i into [::p]."""
+    r, *lens = f.shape          # lens: the lengths of each level's nodes, from the roots
     while lens[-1] > _TWIG and p * p <= lens[-1]:
         lens.append((lens[-1] - 1) // p + 1)
     n1 = lens.pop()
-    q = p ** len(lens)          # leaves; leaf r is f[r::q]
-    m = max(1, min(n1, math.isqrt(q * n1)))     # m ladder products balance n1/m row products of q rows
+    q = p ** len(lens)          # leaves per outer series; leaf k of f[s] is f[s, k::q]
+    m = max(1, min(n1, math.isqrt(q * r * n1)))     # m ladder products balance n1/m of q*r rows
     pows = _zeros((m + 1, n1))
     pows[0, 0] = 1
     for j in range(1, min(m + 1, n1)):          # g^j = 0 mod t^n1 for j >= n1
         pows[j, j:] = _conv(pows[j - 1, j - 1:-1], g[1:n1 - j + 1], p, n1 - j)
     nb = -(-n1 // m)            # blocks per leaf
-    leaves = np.concatenate([f, _zeros(q * nb * m - f.shape[0])]).reshape(nb * m, q).T
+    leaves = np.concatenate([f, _zeros((r, q * nb * m - f.shape[1]))], axis=1)
+    leaves = leaves.reshape(r, nb * m, q).transpose(2, 0, 1).reshape(q * r, nb * m)
     acc = leaves[:, -m:] @ pows[:m] % p
     for i in reversed(range(nb - 1)):
         acc = (_mul_rows(acc, pows[m], p) + leaves[:, i * m:(i + 1) * m] @ pows[:m]) % p
     for n in reversed(lens):
-        child = acc.reshape(p, -1, acc.shape[1])    # child i of node r is row i*nodes + r
+        child = acc.reshape(p, -1, acc.shape[1])    # child i of row k*r + s: row (i*nodes + k)*r + s
         acc = _zeros((child.shape[1], n))
         acc[:, ::p] = child[p - 1]
         for i in reversed(range(p - 1)):
             acc = _mul_rows(acc, g, p)
             acc[:, ::p] = (acc[:, ::p] + child[i]) % p
-    return acc[0]
+    return acc
+
+
+def _compose_all(fs, g):
+    """[f(g) for f in fs] in one tree walk; g(0) must be zero."""
+    for f in fs:
+        f._check_context(g)
+    if g.coeffs[0] != 0:
+        raise NonzeroConstant("inner series of a composition must have f(0) = 0")
+    return [g._new(c) for c in _compose(np.array([f.coeffs for f in fs]), g.coeffs, g.p)]
 
 
 def _eliminate(a, p):
@@ -303,7 +314,7 @@ def _reversion(a, p):
     g = np.concatenate([_reversion(a[:h], p), _zeros(n1 - h)])
     dg = (g[1:n1 - h + 1] * np.arange(1, n1 - h + 1)) % p      # g' mod t^(n1-h)
     # f(g) - t is t^h times f(g)'s tail from t^h
-    g[h:] = (g[h:] - _mul(_compose(a, g, p)[h:], dg, p)) % p
+    g[h:] = (g[h:] - _mul(_compose(a[None], g, p)[0, h:], dg, p)) % p
     return g
 
 
@@ -483,10 +494,7 @@ class Series:
 
     def compose(self, other):
         """self(other); the inner series must have constant term zero."""
-        self._check_context(other)
-        if other.coeffs[0] != 0:
-            raise NonzeroConstant("inner series of a composition must have f(0) = 0")
-        return self._new(_compose(self.coeffs, other.coeffs, self.p))
+        return _compose_all([self], other)[0]
 
     __call__ = compose
 

@@ -84,10 +84,10 @@ def convolve_product(f, g):
     return Series(f.p, f.trunc, np.convolve(f.coeffs, g.coeffs)[:f.trunc + 1] % f.p)
 
 
-def naive_power(f, k, product=naive_product):
-    """Square-and-multiply over naive_product (or another product); the
-    power oracle."""
-    out = Series.one(f.p, f.trunc)
+def naive_power(f, k, product=naive_product, one=None):
+    """Square-and-multiply over naive_product (or another product, with its
+    identity `one`); the power oracle."""
+    out = Series.one(f.p, f.trunc) if one is None else one
     while k:
         if k & 1:
             out = product(out, f)
@@ -98,11 +98,13 @@ def naive_power(f, k, product=naive_product):
 
 
 def horner_compose(f, g):
-    """f(g) by the Horner ladder, N series products; the composition oracle."""
-    n = f.trunc
-    acc = Series(f.p, n, [f[n]])
+    """f(g) by the Horner ladder, N series products; the composition oracle.
+    Each product is one int64 convolution by g up to its last nonzero term."""
+    p, n = f.p, f.trunc
+    tail = g.coeffs[:max(g.support(), default=0) + 1]
+    acc = Series(p, n, [f[n]])
     for k in range(n - 1, -1, -1):
-        acc = convolve_product(acc, g) + f[k]
+        acc = Series(p, n, np.convolve(acc.coeffs, tail)[:n + 1] % p) + f[k]
     return acc
 
 

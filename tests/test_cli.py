@@ -167,6 +167,15 @@ def test_power_rejects_negative_exponent(tmp_path):
     assert run_cli(["power", "--in", path, "-k", "-1"])[0] == 2
 
 
+def test_power_with_a_4000_digit_exponent(tmp_path):
+    # "1" * 4000 is 3 mod 4, so the power is sigma's inverse; k is reduced
+    # mod 2^(N-1) before any composition
+    path = write(tmp_path / "sigma.txt", run_cli(["sigma", "--trunc", "64"])[1])
+    code, out, err = run_cli(["power", "--in", path, "-k", "1" * 4000])
+    assert (code, err) == (0, "")
+    assert out == run_cli(["inverse", "--in", path])[1]
+
+
 def test_order_and_depth(tmp_path):
     sigma_path = write(tmp_path / "sigma.txt", run_cli(["sigma", "--trunc", "62"])[1])
     assert run_cli(["order", "--in", sigma_path]) == (0, "4\n", "")

@@ -16,11 +16,11 @@ import random
 import numpy as np
 import pytest
 
-from nottingham import series
+from nottingham import MismatchedContext, NonzeroConstant, series
 from nottingham.group import GroupElement, klopsch_rep
 from nottingham.series import (
-    _CLMUL, _CLMUL_ROWS, _KRONECKER, _LEAF, _TWIG, Series, _clmul, _conv, _eliminate, _mul,
-    _mul_rows)
+    _CLMUL, _CLMUL_ROWS, _KRONECKER, _LEAF, _TWIG, Series, _clmul, _compose, _compose_all, _conv,
+    _eliminate, _mul, _mul_rows)
 
 from support import (
     coefficientwise_nth_root,
@@ -120,19 +120,18 @@ def test_bit_slots_hold_all_ones_squares(n):
 
 
 def test_bit_slots_at_the_composition_leaf_shape():
-    """r packed rows of n1 against g, whole and truncated: (128, 17), packed
-    to 4,224 slots, is the deepest level's row product of composition at
-    N = 2048 (leaves of 9 coefficients); (32, 65) packs to 4,128 slots."""
+    """r rows of n1 against g through the 2-D row path, whole and truncated:
+    (128, 17), packed to 4,224 slots, is the deepest level's row product of
+    composition at N = 2048 (leaves of 9 coefficients); (32, 65) packs to
+    4,128 slots."""
     rng = np.random.default_rng(500)
     for r, n1 in ((32, 65), (128, 17)):
         rows, g = rng.integers(0, 2, (r, n1)), rng.integers(0, 2, n1)
-        packed = np.concatenate([rows, np.zeros((r, n1 - 1), dtype=np.int64)], axis=1).ravel()
-        assert packed.shape == (r * (2 * n1 - 1),)
-        for k in (packed.size + n1 - 1, packed.size, 1000):
-            got = _conv(packed, g, 2, k, packed=True)
-            assert np.array_equal(got, np.convolve(packed, g)[:k] % 2), (r, n1, k)
-        want = np.array([np.convolve(row, g)[:n1] % 2 for row in rows])
-        assert np.array_equal(_mul_rows(rows, g, 2), want), (r, n1)
+        full = np.array([np.convolve(row, g) % 2 for row in rows])
+        assert full.shape == (r, 2 * n1 - 1)
+        for k in (2 * n1 - 1, n1, 1):
+            assert np.array_equal(_conv(rows, g, 2, k), full[:, :k]), (r, n1, k)
+        assert np.array_equal(_mul_rows(rows, g, 2), full[:, :n1]), (r, n1)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -416,6 +415,73 @@ def test_compose_leaf_ladder_with_horner_steps(p):
     rng = random.Random(418 + p)
     f, g = random_series(rng, p, 384), random_no_constant(rng, p, 384)
     assert f.compose(g) == horner_compose(f, g)
+
+
+# At N + 1 = 2050: leaves of 9 at p = 2 and 3, of 42 at p = 7 (p^2 stops
+# the split) and no split at p = 257
+STACK_N = (1, 2, 16, 17, 25, 384, 2049)
+
+
+def stack_inner(rng, p, n):
+    """Dense g below n = 2049; there, g up to t^40 keeps the oracle's
+    convolutions short."""
+    return random_no_constant(rng, p, n) if n < 2049 else Series(
+        p, n, [0] + [rng.randrange(p) for _ in range(40)])
+
+
+@pytest.mark.parametrize("p", (2, 3, 7, 257))
+def test_compose_stack_matches_horner_row_by_row(p):
+    """r outer series over one g in one tree walk: leaf k of row s is row
+    k*r + s at every level, and row s of the result is f_s(g)."""
+    rng = random.Random(430 + p)
+    for n in STACK_N:
+        g = stack_inner(rng, p, n)
+        fs = [random_series(rng, p, n) for _ in range(3)]
+        want = np.stack([horner_compose(f, g).coeffs for f in fs])
+        for r in (1, 2, 3):
+            got = _compose(np.stack([f.coeffs for f in fs[:r]]), g.coeffs, p)
+            assert np.array_equal(got, want[:r]), (p, n, r)
+
+
+@pytest.mark.parametrize("p", (2, 3, 7, 257))
+def test_compose_stack_with_rows_0_1_and_t(p):
+    """0(g) = 0, 1(g) = 1 and t(g) = g beside a random row, first, middle
+    and last in stacks of two and three."""
+    rng = random.Random(440 + p)
+    for n in STACK_N:
+        g = stack_inner(rng, p, n)
+        f = random_series(rng, p, n)
+        rows = [Series.zero(p, n), Series.one(p, n), Series.gen(p, n), f]
+        images = [rows[0], rows[1], g, horner_compose(f, g)]
+        for stack in ((0, 3), (3, 1), (2, 3), (1, 2, 3), (3, 0, 2), (2, 1, 0)):
+            got = _compose(np.stack([rows[i].coeffs for i in stack]), g.coeffs, p)
+            assert np.array_equal(got, np.stack([images[i].coeffs for i in stack])), (p, n, stack)
+
+
+def test_compose_all_checks_every_row():
+    """_compose_all returns Series equal to each row's compose, and checks
+    the context of every outer series, not only the first, and g(0) = 0."""
+    rng = random.Random(445)
+    g = random_no_constant(rng, 3, 40)
+    fs = [random_series(rng, 3, 40) for _ in range(3)]
+    assert _compose_all(fs, g) == [f.compose(g) for f in fs]
+    with pytest.raises(MismatchedContext):
+        _compose_all([fs[0], Series.gen(3, 41)], g)
+    with pytest.raises(MismatchedContext):
+        _compose_all([fs[0], Series.gen(5, 40)], g)
+    with pytest.raises(NonzeroConstant):
+        _compose_all(fs, g + 1)
+
+
+@pytest.mark.parametrize("p, n", [(2, 40), (3, 30), (7, 60)])
+def test_group_powers_match_naive(p, n):
+    """f ** k for k in 0..40, by square-and-multiply over Horner
+    compositions from t."""
+    rng = random.Random(450 + p)
+    f = GroupElement(Series(p, n, [0, 1] + [rng.randrange(p) for _ in range(n - 1)]))
+    for k in range(41):
+        want = naive_power(f.series, k, horner_compose, Series.gen(p, n))
+        assert (f ** k).series == want, (p, k)
 
 
 @pytest.mark.parametrize("p", PRIMES)

@@ -95,6 +95,23 @@ def test_power_never_composes_with_the_identity(monkeypatch, k, composes):
     assert len(calls) == composes
 
 
+@pytest.mark.parametrize("p, n", [(2, 1), (2, 2), (2, 12), (3, 9), (7, 5)])
+def test_power_reduces_k_mod_the_group_order(p, n):
+    # the group mod t^(N+1) has p^(N-1) elements, so f^(p^(N-1)) = id
+    f = random_group_element(random.Random(208), p, n, depth=1)
+    g = f
+    for _ in range(n - 1):      # g = f^(p^(N-1)) by p-th powers, p - 1 products each
+        h = g
+        for _ in range(p - 1):
+            h = h * g
+        g = h
+    assert g == identity(p, n)
+    order = p ** (n - 1)
+    for j in (0, 1, 2, 5, 7, order // p + 3, order - 1):
+        assert f ** (order + j) == f ** j
+        assert f ** (9 * order + j) == f ** j
+
+
 def test_sigma_square_and_fourth_power():
     sigma = sigma_closed(64)
     sq = sigma ** 2
