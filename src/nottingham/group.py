@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NotCoprime, NotNormalized, ZeroParameter
 from .field import _echo, _is_int, check_prime
-from .series import Series, _check_trunc, _substitute
+from .series import Series, _check_trunc, _ladder, _substitute
 
 INFINITE_DEPTH = math.inf
 
@@ -60,15 +60,7 @@ class GroupElement:
             k %= self.p ** (self.trunc - 1)     # Lagrange: the group mod t^(N+1) has p^(N-1) elements
         if k == 0:
             return GroupElement.identity(self.p, self.trunc)
-        out = None      # set at the lowest set bit, so no product with the identity
-        base = self
-        while k:
-            if k & 1:
-                out = base if out is None else out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
+        return _ladder(self, k, GroupElement.__mul__)
 
     def inverse(self):
         """The compositional inverse, again a group element."""

@@ -202,20 +202,36 @@ def _substitute(a, q, n1):
     return out
 
 
-def _pow(a, k, p):
-    n1 = a.shape[0]
-    q = 1
-    while k and k % p == 0:     # a^(k*q) is a^k spread q apart
-        k, q = k // p, q * p
-    out = _zeros(n1)
-    out[0] = 1
-    base = a
-    while k:
+def _ladder(x, k, mul):
+    """x^k for k >= 1 by square-and-multiply under mul, from k's lowest set
+    bit, so nothing is multiplied by the identity; may return x itself."""
+    while not k & 1:
+        x, k = mul(x, x), k >> 1
+    out = x
+    while k := k >> 1:
+        x = mul(x, x)
         if k & 1:
-            out = _mul(out, base, p)
-        k >>= 1
-        if k:
-            base = _mul(base, base, p)
+            out = mul(out, x)
+    return out
+
+
+def _pow(a, k, p):
+    """a^k mod t^n1, maybe a itself, so read-only.  For k >= n1, a^k = 0 if a(0) = 0,
+    else k counts mod (p-1)*p^J, p^J >= n1: c^(p-1) = 1, u^(p^J) = u(t^(p^J)) = 1."""
+    n1 = a.shape[0]
+    if k >= n1:
+        if not a[0]:
+            return _zeros(n1)
+        q = 1
+        while q < n1:
+            q *= p
+        k %= (p - 1) * q
+    if k == 0:
+        return np.eye(1, n1, dtype=_DT)[0]
+    q = 1
+    while k % p == 0:     # a^(k*q) is a^k spread q apart
+        k, q = k // p, q * p
+    out = _ladder(a, k, lambda x, y: _mul(x, y, p))
     return _substitute(out, q, n1) if q > 1 else out
 
 

@@ -6,9 +6,10 @@ kernel, p = 2 squares are spreads, composition runs the Frobenius split
 one level at a time above the block-ladder leaves (at most _TWIG
 coefficients, or fewer than p^2), each level's rows multiplied by g in one
 packed product, p-th powers and Artin-Schreier squares run as coefficient
-spreads, m-th roots and reversion (above the elimination leaf) run Newton
-iteration, and klopsch_rep works in x = t^m; each is checked for
-bit-equality against an algorithm that does none of that.
+spreads, powers above N reduce their exponent, m-th roots and reversion
+(above the elimination leaf) run Newton iteration, and klopsch_rep works in
+x = t^m; each is checked for bit-equality against an algorithm that does
+none of that.
 """
 
 import random
@@ -29,10 +30,12 @@ from support import (
     horner_compose,
     naive_power,
     naive_product,
+    random_group_element,
     random_invertible,
     random_no_constant,
     random_one_unit,
     random_series,
+    random_unit,
     summed_artin_schreier_root,
 )
 
@@ -498,6 +501,89 @@ def test_pow_huge_p_power_is_a_spread():
     assert (1 + t) ** (3 ** 500) == Series.one(3, 10)
     # (1 + t)^18 = (1 + 2t + t^2)^9 = 1 + 2t^9 + t^18
     assert (1 + t) ** (2 * 3 ** 2) == 1 + 2 * t ** 9
+
+
+def with_constant(rng, p, n, c0):
+    return Series(p, n, [c0] + [rng.randrange(p) for _ in range(n)])
+
+
+def unit_exponent(p, n):
+    """(p-1)*p^J for the least p^J >= n + 1: units mod t^(n+1) have this exponent."""
+    q = 1
+    while q < n + 1:
+        q *= p
+    return (p - 1) * q
+
+
+@pytest.mark.parametrize("p", (2, 3, 7, 257))
+def test_pow_matches_naive_for_every_small_exponent(p):
+    """f ** k for k in 0..40, a(0) in {0, 1, c}: the exponent reduction
+    above N, the Frobenius strip and the ladder against the square-and-multiply
+    oracle over plain convolutions."""
+    rng = random.Random(590 + p)
+    for n in (0, 1, 2, 17, 40):
+        for c0 in {0, 1, p - 1}:
+            f = with_constant(rng, p, n, c0)
+            for k in range(41):
+                assert f ** k == naive_power(f, k, convolve_product), (p, n, c0, k)
+
+
+@pytest.mark.parametrize("p", (2, 3, 7, 257))
+def test_pow_is_periodic_in_the_unit_exponent(p):
+    """f ** (E + j) = f ** j for units, E = (p-1)*p^J, p^J >= N + 1, with
+    f ** E = 1; f ** k = 0 for f(0) = 0 and k >= N + 1."""
+    rng = random.Random(600 + p)
+    for n in (0, 1, 2, 17, 40):
+        e = unit_exponent(p, n)
+        one, zero = Series.one(p, n), Series.zero(p, n)
+        for c0 in {1, p - 1}:
+            f = with_constant(rng, p, n, c0)
+            assert f ** e == one and f ** (e * 10 ** 50) == one, (p, n, c0)
+            for j in range(12):
+                want = naive_power(f, j, convolve_product)
+                assert f ** (e + j) == want and f ** (e * 3 ** 40 + j) == want, (p, n, c0, j)
+        f = with_constant(rng, p, n, 0)
+        for k in (n + 1, n + 2, e, 10 ** 12 + 7, 3 ** 40, 10 ** 4000):
+            assert f ** k == zero, (p, n, k)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_nth_root_with_a_4000_digit_index(p):
+    """A 4,000-digit m reduces like any exponent: the Newton step's
+    u^(m-1) costs as much as a small power's."""
+    rng = random.Random(610 + p)
+    for n in (0, 1, 2, 17, 40):
+        f = random_one_unit(rng, p, n)
+        for m in (10 ** 3999 + j for j in range(1, 4)):
+            if m % p:
+                assert f.nth_root(m) == coefficientwise_nth_root(f, m), (p, n, m % 1000)
+
+
+def test_pow_starts_the_ladder_at_the_lowest_set_bit(monkeypatch):
+    """f ** k for k prime to p and k <= N makes bit_length - 1 squares and
+    popcount - 1 products, none by 1: f ** 5 at p = 3 is three _mul calls."""
+    f = random_unit(random.Random(620), 3, 40)
+    calls = []
+    monkeypatch.setattr(series, "_mul", lambda a, b, p: calls.append(1) or _mul(a, b, p))
+    f ** 5
+    assert len(calls) == 3
+    for k in (k for k in range(1, 41) if k % 3):
+        calls.clear()
+        f ** k
+        assert len(calls) == k.bit_length() + bin(k).count("1") - 2, k
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_group_powers_compose_once_per_square_and_product(monkeypatch, p):
+    """GroupElement ** k composes bit_length - 1 squares and popcount - 1
+    products for k in 1..40, none with the identity, and none for k = 0."""
+    f = random_group_element(random.Random(630 + p), p, 30)
+    calls = []
+    monkeypatch.setattr(series, "_compose", lambda *args: calls.append(1) or _compose(*args))
+    for k in range(41):
+        calls.clear()
+        f ** k
+        assert len(calls) == (k.bit_length() + bin(k).count("1") - 2 if k else 0), k
 
 
 def test_artin_schreier_matches_summation():
