@@ -15,12 +15,7 @@ import sys
 
 from .errors import NottinghamError
 from .field import PRIME_CAP
-from .group import (
-    INFINITE_DEPTH,
-    GroupElement,
-    klopsch_rep,
-    order_mod_truncation,
-)
+from .group import INFINITE_DEPTH, GroupElement, klopsch_rep, order_mod_truncation
 from .order4 import run_checks, sigma_algebraic, sigma_bundle, sigma_closed, sigma_relation
 from .series import MAX_TRUNC, Series, _number
 
@@ -36,6 +31,13 @@ _INT_FLAGS = {"trunc": ("truncation order", MAX_TRUNC), "p": ("characteristic", 
               "k": ("exponent", None), "cap": ("cap", None)}
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors go to run as ValueError, cut so that its error: line stays under 150."""
+
+    def error(self, message):
+        raise ValueError(message if len(message) <= 141 else message[:138] + "...")
+
+
 def _load_group_element(path):
     with open(path, "r", encoding="ascii") as fh:
         return GroupElement(Series.from_text(fh.read()))
@@ -43,25 +45,23 @@ def _load_group_element(path):
 
 def _cmd_sigma(ns):
     if ns.method is not None:
-        elem = _SIGMA_ROUTES[ns.method](ns.trunc)
-    else:
-        # no method chosen: build every route and insist they agree, so a
-        # plain `sigma` invocation doubles as a self-check
-        routes = [(name, fn(ns.trunc)) for name, fn in _SIGMA_ROUTES.items()]
-        elem = routes[0][1]
-        for name, other in routes[1:]:
-            if other != elem:
-                e = (other.series - elem.series).valuation()
-                print(f"route disagreement: closed vs {name} at exponent {e}",
-                      file=sys.stderr)
-                return 1
-    sys.stdout.write(elem.series.to_text())
-    return 0
+        return _SIGMA_ROUTES[ns.method](ns.trunc)
+    # no method chosen: build every route and insist they agree, so a
+    # plain `sigma` invocation doubles as a self-check
+    routes = [(name, fn(ns.trunc)) for name, fn in _SIGMA_ROUTES.items()]
+    elem = routes[0][1]
+    for name, other in routes[1:]:
+        if other != elem:
+            e = (other.series - elem.series).valuation()
+            print(f"route disagreement: closed vs {name} at exponent {e}", file=sys.stderr)
+            return 1
+    return elem
 
 
 def _cmd_verify(ns):
     if ns.sigma is not None:
         candidate = _load_group_element(ns.sigma)
+        # before the bundle: a p = 3 candidate would first cost a full p = 2 bundle
         if candidate.p != 2:
             raise ValueError("candidate must live over p = 2")
         if ns.trunc is not None and ns.trunc != candidate.trunc:
@@ -75,25 +75,6 @@ def _cmd_verify(ns):
     report = run_checks(bundle)
     sys.stdout.write(report.render())
     return 0 if report.passed else 1
-
-
-def _cmd_compose(ns):
-    lhs = _load_group_element(ns.lhs)
-    rhs = _load_group_element(ns.rhs)
-    sys.stdout.write((lhs * rhs).series.to_text())
-    return 0
-
-
-def _cmd_inverse(ns):
-    sys.stdout.write(_load_group_element(ns.infile).inverse().series.to_text())
-    return 0
-
-
-def _cmd_power(ns):
-    if ns.k < 0:
-        raise ValueError("exponent must be non-negative")
-    sys.stdout.write((_load_group_element(ns.infile) ** ns.k).series.to_text())
-    return 0
 
 
 def _cmd_order(ns):
@@ -114,82 +95,65 @@ def _cmd_depth(ns):
     return 0
 
 
-def _cmd_klopsch(ns):
-    elem = klopsch_rep(ns.p, ns.m, ns.a, ns.trunc)
-    sys.stdout.write(elem.series.to_text())
-    return 0
+_IN = ("--in", dict(dest="infile", required=True, metavar="FILE"))
+_TRUNC = ("--trunc", dict(required=True, metavar="N"))
+# Subcommand: (help, flags as (name, add_argument keywords), handler).  A handler
+# returns a GroupElement for run to print, or an exit code after printing itself.
+_COMMANDS = {
+    "sigma": ("emit the order-4 element at p=2 (all routes must agree)",
+              [_TRUNC, ("--method", dict(choices=sorted(_SIGMA_ROUTES)))], _cmd_sigma),
+    "verify": ("run the order-4 identity suite at a chosen precision",
+               [("--trunc", dict(metavar="N")),
+                ("--sigma", dict(metavar="FILE",
+                                 help="check this candidate series instead of the built-in one"))],
+               _cmd_verify),
+    "compose": ("compose two group elements",
+                [("--lhs", dict(required=True, metavar="FILE")),
+                 ("--rhs", dict(required=True, metavar="FILE"))],
+                lambda ns: _load_group_element(ns.lhs) * _load_group_element(ns.rhs)),
+    "inverse": ("compositional inverse of a group element", [_IN],
+                lambda ns: _load_group_element(ns.infile).inverse()),
+    "power": ("k-th compositional power", [_IN, ("-k", dict(required=True))],
+              lambda ns: _load_group_element(ns.infile) ** ns.k),
+    "order": ("least p-power k <= cap with f^k = id at this precision",
+              [_IN, ("--cap", dict(default=None, help="default p^6"))], _cmd_order),
+    "depth": ("congruence-filtration depth", [_IN], _cmd_depth),
+    "klopsch": ("order-p representative t*(1 - a*t^m)^(-1/m)",
+                [("-p", dict(required=True)), ("-m", dict(required=True)),
+                 ("-a", dict(required=True)), _TRUNC],
+                lambda ns: klopsch_rep(ns.p, ns.m, ns.a, ns.trunc)),
+}
 
 
 def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="nottingham",
-        description="Exact Nottingham-group computations over small prime fields.",
-    )
+    parser = _Parser(prog="nottingham",
+                     description="Exact Nottingham-group computations over small prime fields.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p_sigma = sub.add_parser(
-        "sigma", help="emit the order-4 element at p=2 (all routes must agree)")
-    p_sigma.add_argument("--trunc", required=True, metavar="N")
-    p_sigma.add_argument("--method", choices=sorted(_SIGMA_ROUTES))
-    p_sigma.set_defaults(func=_cmd_sigma)
-
-    p_verify = sub.add_parser(
-        "verify", help="run the order-4 identity suite at a chosen precision")
-    p_verify.add_argument("--trunc", metavar="N")
-    p_verify.add_argument("--sigma", metavar="FILE",
-                          help="check this candidate series instead of the built-in one")
-    p_verify.set_defaults(func=_cmd_verify)
-
-    p_compose = sub.add_parser("compose", help="compose two group elements")
-    p_compose.add_argument("--lhs", required=True, metavar="FILE")
-    p_compose.add_argument("--rhs", required=True, metavar="FILE")
-    p_compose.set_defaults(func=_cmd_compose)
-
-    p_inverse = sub.add_parser("inverse", help="compositional inverse of a group element")
-    p_inverse.add_argument("--in", dest="infile", required=True, metavar="FILE")
-    p_inverse.set_defaults(func=_cmd_inverse)
-
-    p_power = sub.add_parser("power", help="k-th compositional power")
-    p_power.add_argument("--in", dest="infile", required=True, metavar="FILE")
-    p_power.add_argument("-k", required=True)
-    p_power.set_defaults(func=_cmd_power)
-
-    p_order = sub.add_parser(
-        "order", help="least p-power k <= cap with f^k = id at this precision")
-    p_order.add_argument("--in", dest="infile", required=True, metavar="FILE")
-    p_order.add_argument("--cap", default=None, help="default p^6")
-    p_order.set_defaults(func=_cmd_order)
-
-    p_depth = sub.add_parser("depth", help="congruence-filtration depth")
-    p_depth.add_argument("--in", dest="infile", required=True, metavar="FILE")
-    p_depth.set_defaults(func=_cmd_depth)
-
-    p_klopsch = sub.add_parser(
-        "klopsch", help="order-p representative t*(1 - a*t^m)^(-1/m)")
-    p_klopsch.add_argument("-p", required=True)
-    p_klopsch.add_argument("-m", required=True)
-    p_klopsch.add_argument("-a", required=True)
-    p_klopsch.add_argument("--trunc", required=True, metavar="N")
-    p_klopsch.set_defaults(func=_cmd_klopsch)
-
+    for name, (text, flags, handler) in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=text)
+        for flag, kw in flags:
+            cmd.add_argument(flag, **kw)
+        cmd.set_defaults(func=handler)
     return parser
 
 
 def run(argv):
     """Parse argv and dispatch; returns the process exit code."""
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
+        ns = _build_parser().parse_args(argv)
         for dest, (what, cap) in _INT_FLAGS.items():
             if getattr(ns, dest, None) is not None:
                 setattr(ns, dest, _number(getattr(ns, dest), what, cap))
-        return ns.func(ns)
+        out = ns.func(ns)
+    except SystemExit as exc:   # --help
+        return exc.code
     except (NottinghamError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if isinstance(out, int):
+        return out
+    sys.stdout.write(out.series.to_text())
+    return 0
 
 
 def main():

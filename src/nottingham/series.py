@@ -555,6 +555,8 @@ class Series:
             raise NotCoprime(f"root index {_echo(m)} is divisible by p = {self.p}")
         if self.coeffs[0] != 1:
             raise BadRoot("m-th roots are extracted from unit series with f(0) = 1")
+        if m == 1:
+            return self
         p, n1 = self.p, self.trunc + 1
         inv_m = pow(m % p, -1, p)
         u = np.ones(1, dtype=_DT)

@@ -1,6 +1,6 @@
 import pytest
 
-from nottingham import identity, sigma_closed
+from nottingham import GroupElement, cli, identity, sigma_closed
 from nottingham.series import MAX_TRUNC, Series
 
 from support import run_cli
@@ -43,6 +43,15 @@ def test_sigma_usage_errors():
     assert run_cli(["sigma"])[0] == 2
     assert run_cli(["sigma", "--trunc", "1"])[0] == 2
     assert run_cli(["sigma", "--trunc", "62", "--method", "bogus"])[0] == 2
+
+
+@pytest.mark.parametrize("name", ["algebraic", "relation"])
+def test_sigma_route_disagreement_exits_one(monkeypatch, name):
+    def flipped(n):
+        return GroupElement(sigma_closed(n).series + Series.from_terms(2, n, {17: 1}))
+    monkeypatch.setitem(cli._SIGMA_ROUTES, name, flipped)
+    assert run_cli(["sigma", "--trunc", "40"]) == (
+        1, "", f"route disagreement: closed vs {name} at exponent 17\n")
 
 
 def test_sigma_at_lowest_precisions():
@@ -164,7 +173,8 @@ def test_power_zero_gives_identity(tmp_path):
 
 def test_power_rejects_negative_exponent(tmp_path):
     path = write(tmp_path / "sigma.txt", run_cli(["sigma", "--trunc", "10"])[1])
-    assert run_cli(["power", "--in", path, "-k", "-1"])[0] == 2
+    assert run_cli(["power", "--in", path, "-k", "-1"]) == (
+        2, "", "error: negative powers: use inverse() first\n")
 
 
 def test_power_with_a_4000_digit_exponent(tmp_path):
@@ -265,9 +275,21 @@ def test_loose_or_huge_flags_are_one_short_error(tmp_path, argv):
 # ----------------------------------------------------------------------
 # top-level usage
 
-def test_usage_errors():
-    assert run_cli([])[0] == 2
-    assert run_cli(["frobnicate"])[0] == 2
+@pytest.mark.parametrize("argv", [
+    [],
+    ["frobnicate"],
+    ["x" * 5000],
+    ["sigma"],
+    ["sigma", "--trunc", "8", "--method", "bogus"],
+    ["sigma", "--trunc", "8", "--method", "y" * 5000],
+    ["verify", "--trunc", "8", "--extra"],
+    ["power", "--in", "F"],
+], ids=["no-subcommand", "unknown-subcommand", "huge-subcommand", "missing-flag",
+        "bad-choice", "huge-choice", "extra-argument", "missing-k"])
+def test_usage_errors(argv):
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and len(err) < 150
 
 
 def test_help_exits_zero():

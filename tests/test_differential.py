@@ -17,7 +17,7 @@ import random
 import numpy as np
 import pytest
 
-from nottingham import MismatchedContext, NonzeroConstant, series
+from nottingham import BadRoot, MismatchedContext, NonzeroConstant, series
 from nottingham.group import GroupElement, klopsch_rep
 from nottingham.series import (
     _CLMUL, _CLMUL_ROWS, _KRONECKER, _LEAF, _TWIG, Series, _clmul, _compose, _compose_all, _conv,
@@ -584,6 +584,23 @@ def test_group_powers_compose_once_per_square_and_product(monkeypatch, p):
         calls.clear()
         f ** k
         assert len(calls) == (k.bit_length() + bin(k).count("1") - 2 if k else 0), k
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_nth_root_of_index_one_is_the_series(monkeypatch, p):
+    """nth_root(1) returns the series itself with no product, once the guards
+    every index takes have passed: a bool index and f(0) != 1 still raise."""
+    f = random_one_unit(random.Random(640 + p), p, 256)
+    calls = []
+    monkeypatch.setattr(series, "_conv", lambda *args, **kw: calls.append(1) or _conv(*args, **kw))
+    assert f.nth_root(1) is f
+    assert calls == []
+    f.nth_root(3 if p == 2 else 2)
+    assert calls     # the counter sees the products of a real root
+    with pytest.raises(ValueError):
+        f.nth_root(True)
+    with pytest.raises(BadRoot):
+        (f + f).nth_root(1)
 
 
 def test_artin_schreier_matches_summation():
