@@ -7,9 +7,9 @@ one level at a time above the block-ladder leaves (at most _TWIG
 coefficients, or fewer than p^2), each level's rows multiplied by g in one
 packed product, p-th powers and Artin-Schreier squares run as coefficient
 spreads, powers above N reduce their exponent, m-th roots and reversion
-(above the elimination leaf) run Newton iteration, and klopsch_rep works in
-x = t^m; each is checked for bit-equality against an algorithm that does
-none of that.
+(above the elimination leaf) run Newton iteration, klopsch_rep works in
+x = t^m, and division by 1 + t over F_2 is a prefix XOR; each is checked
+for bit-equality against an algorithm that does none of that.
 """
 
 import random
@@ -19,6 +19,7 @@ import pytest
 
 from nottingham import BadRoot, MismatchedContext, NonzeroConstant, series
 from nottingham.group import GroupElement, klopsch_rep
+from nottingham.order4 import _r
 from nottingham.series import (
     _CLMUL, _CLMUL_ROWS, _KRONECKER, _LEAF, _TWIG, Series, _clmul, _compose, _compose_all, _conv,
     _eliminate, _mul, _mul_rows)
@@ -601,6 +602,22 @@ def test_nth_root_of_index_one_is_the_series(monkeypatch, p):
         f.nth_root(True)
     with pytest.raises(BadRoot):
         (f + f).nth_root(1)
+
+
+def test_division_by_one_plus_t_is_a_prefix_xor():
+    """order4._r(x) = x/(1+t) over F_2 as a prefix XOR, against the product by
+    the reciprocal of 1 + t and naive_product by the all-ones series: on each
+    side of _CLMUL, where such products take the byte-table kernel, and at
+    seeded random N; x zero, all ones, random, and of valuation above 1."""
+    rng = random.Random(650)
+    for n in (0, 1, 2, 8, _CLMUL - 1, _CLMUL, _CLMUL + 1, 2048, *rng.sample(range(3, 300), 3)):
+        ones = Series(2, n, [1] * (n + 1))
+        v = rng.randrange(2, 6)
+        shifted = Series(2, n, ([0] * v + [1] + [rng.randrange(2) for _ in range(n)])[:n + 1])
+        for x in (Series(2, n, [0]), ones, random_series(rng, 2, n), shifted):
+            got = _r(x)
+            assert got == x * Series(2, n, [1, 1][:n + 1]).reciprocal(), n
+            assert got == naive_product(x, ones), n
 
 
 def test_artin_schreier_matches_summation():

@@ -16,8 +16,9 @@ from nottingham import (
     sigma_support,
     verify_all,
 )
-from nottingham.order4 import CHECK_NAMES
-from nottingham.series import Series
+from nottingham import order4, series
+from nottingham.order4 import CHECK_NAMES, _r
+from nottingham.series import _TWIG, Series, _conv
 
 
 def support_oracle(trunc):
@@ -210,6 +211,63 @@ def test_corrupted_relation_root_flips_dependent_checks():
         "order_four: PASS\n"
         "route_agreement: FAIL first_failure_exponent=20\n"
     )
+
+
+def test_renders_of_tampered_bundles_at_2048():
+    """At N = 2048, where a product by r = 1/(1+t) would take the byte-table
+    kernel: a tampered relation root, then a tampered candidate element."""
+    b = sigma_bundle(2048)
+    tampered = replace(b, relation_root=b.relation_root + Series.from_terms(2, 2048, {1500: 1}))
+    assert run_checks(tampered).render() == (
+        "artin_schreier: PASS\n"
+        "factorization: PASS\n"
+        "ring_relation: FAIL first_failure_exponent=1500\n"
+        "equivariance: FAIL first_failure_exponent=1501\n"
+        "order_four: PASS\n"
+        "route_agreement: FAIL first_failure_exponent=1500\n"
+    )
+    candidate = GroupElement(b.sigma_closed.series + Series.from_terms(2, 2048, {1200: 1}))
+    assert run_checks(b.with_candidate(candidate)).render() == (
+        "artin_schreier: PASS\n"
+        "factorization: PASS\n"
+        "ring_relation: PASS\n"
+        "equivariance: FAIL first_failure_exponent=1202\n"
+        "order_four: FAIL first_failure_exponent=1280\n"
+        "route_agreement: FAIL first_failure_exponent=1200\n"
+    )
+
+
+def test_division_by_one_plus_t_makes_no_product(monkeypatch):
+    """Every x*r, r = 1/(1+t), is a prefix XOR: sigma_bundle makes no product,
+    and no product in run_checks has an all-ones operand longer than a
+    composition leaf (the block ladder may multiply t + t^2)."""
+    calls, all_ones = [], []
+
+    def spy(a, b, p, n1):
+        calls.append(1)
+        all_ones.extend(len(x) for x in (a, b)
+                        if x.ndim == 1 and len(x) > _TWIG and (x == 1).all())
+        return _conv(a, b, p, n1)
+
+    monkeypatch.setattr(series, "_conv", spy)
+    b = sigma_bundle(2048)
+    assert calls == []
+    assert run_checks(b).passed
+    assert calls      # the counter sees the checks' products
+    assert all_ones == []
+
+
+def test_algebraic_route_divides_t_and_w_apart(monkeypatch):
+    """t*r + s*r^2 is two divisions by 1+t, t*r + w*r, and (t + w)*r one: the
+    values agree, so only the divisions taken tell the two routes apart."""
+    divided = []
+    monkeypatch.setattr(order4, "_r", lambda x: divided.append(x) or _r(x))
+    t = Series.gen(2, 64)
+    for build, divides_t_alone in ((sigma_algebraic, True), (sigma_bundle, True),
+                                   (sigma_relation, False)):
+        divided.clear()
+        build(64)
+        assert (t in divided) == divides_t_alone, build.__name__
 
 
 def test_order_four_certificate_moderate_precision():
