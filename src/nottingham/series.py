@@ -11,13 +11,15 @@ All arithmetic is exact integer arithmetic; nothing here touches floating
 point.  A product is one _conv: an int64 convolution, or Kronecker
 substitution (one big-int product of packed coefficients) if long, with one
 bit per coefficient at p = 2 and byte slots otherwise; longer p = 2 products
-take a carry-less byte-table kernel.  Over F_p a p-th power is a coefficient
-spread, f(t)^p = f(t^p), which p-th powers (and p = 2 squares),
-Artin-Schreier roots and composition use.  Composition is Bernstein's
-Frobenius split, O(p*M(N)*log_p N) for M(N) one product's cost, one tree
-level at a time and for a stack of outer series at once: a block ladder
-sized by its leaf rows evaluates all leaves (at most _TWIG coefficients)
-as rows of a matrix, a level's rows multiply by g in one _conv.
+take a carry-less byte-table kernel (_table, then _gather).  Over F_p a
+p-th power is a coefficient spread, f(t)^p = f(t^p), which p-th powers (and
+p = 2 squares), Artin-Schreier roots and composition use.  Composition is
+Bernstein's Frobenius split, O(p*M(N)*log_p N) for M(N) one product's cost,
+one tree level at a time and for a stack of outer series at once: a block
+ladder sized by its leaf rows evaluates all leaves (at most _TWIG
+coefficients) as rows of a matrix, a level's rows multiply by g in one
+_conv.  A long p = 2 walk keeps its rows bit-packed from the leaves to the
+root and gathers every level from one byte table of g.
 Reciprocals, m-th roots and reversion are Newton doublings, reversion down
 to elimination at _LEAF coefficients.
 
@@ -56,11 +58,14 @@ _LEAF = 32      # series this short revert by elimination
 # overtakes np.convolve (2-vCPU Xeon); wider byte slots raise it by width cubed.
 _KRONECKER = 80
 # At p = 2 the byte-table kernel overtakes bit slots from a shorter operand of
-# _CLMUL coefficients, or row products of _CLMUL in rows of _CLMUL_ROWS; it
-# gathers about _BLOCK bytes at a time.
+# _CLMUL coefficients, and a composition's walk on packed rows overtakes bit
+# slots from a top level of _CLMUL coefficients in rows of _CLMUL_ROWS; the
+# kernel gathers about _BLOCK bytes at a time.
 _CLMUL = 640
 _CLMUL_ROWS = 128
 _BLOCK = 1 << 18
+# Byte v with its bit i moved to bit 2i: a bit-packed a(t^2), in little-endian pairs.
+_SPREAD = np.array([sum((v >> i & 1) << 2 * i for i in range(8)) for v in range(256)], dtype="<u2")
 
 
 def _check_trunc(trunc, least=0):
@@ -94,37 +99,64 @@ def _bits(a, s):
     return int.from_bytes(np.packbits(m, bitorder="little").tobytes(), "little")
 
 
-def _clmul(rows, b, n1):
-    """The first n1 coefficients of each row of a 0/1 array times b over F_2,
-    carry-less (Brent, Gaudry, Thome and Zimmermann 2008): every byte of a
-    bit-packed row gathers a row of the 256-entry table of b's multiples by
-    one byte, XOR-reduced in uint64 words, in blocks of kb <= 128 row bytes
-    that gather about _BLOCK bytes."""
-    r = rows.shape[0]
-    a = np.packbits(rows[:, :n1], axis=1, bitorder="little")
+def _table(b):
+    """The 256 carry-less products v*b over F_2, v a byte, as rows of bytes,
+    for a 0/1 array b: from the pairs (0, b << j), each pass XORs every
+    group's high half onto its low half.  A row is ceil(len(b)/8) + 1
+    product bytes, then at least 128 zero bytes, 1 mod 8 bytes in all, so
+    the table is its own widest gather block."""
+    w = ((len(b) + 7) // 8 + 1 + 128 + 7) // 8 * 8 + 1
+    x = int.from_bytes(np.packbits(b.astype(np.uint8), bitorder="little").tobytes(), "little")
+    table = np.frombuffer(b"".join(bytes(w) + (x << j).to_bytes(w, "little") for j in range(8)), np.uint8)
+    for groups in (4, 2, 1):
+        t = table.reshape(groups, 2, -1, w)
+        table = (t[:, 1, :, None] ^ t[:, 0, None]).reshape(-1, w)
+    return table
+
+
+def _block(table, w, kb):
+    """A gather block for the first w output bytes from row bytes in blocks of
+    kb: the table's first w columns, then zeros, 1 mod 8 bytes wide, or the
+    table itself unless that is over 128 bytes wider.  Its columns past w
+    reach only the output bytes past the first w."""
+    wg = (w + kb + 7) // 8 * 8 + 1
+    if wg + 128 >= table.shape[1]:
+        return table
+    block = np.zeros((256, wg), dtype=np.uint8)
+    block[:, :w] = table[:, :w]
+    return block
+
+
+def _gather(a, table, n1):
+    """The first ceil(n1/8) bytes of each bit-packed row of a times b, for
+    table = _table(b) (Brent, Gaudry, Thome and Zimmermann 2008): every row
+    byte gathers its table row, XOR-reduced in uint64 words, in blocks of
+    kb <= 128 row bytes that gather about _BLOCK bytes.  Only the table's
+    columns below ceil(n1/8) reach them, so bits of b at or above n1 may be
+    anything; so may a row's bits at or above n1."""
+    r, na = a.shape
     nout = (n1 + 7) // 8
-    w = (min(len(b), n1) + 7) // 8      # bytes of b[:n1]
-    kb = min(128, max(8, _BLOCK // (r * w)), a.shape[1])
-    x = int.from_bytes(np.packbits(b[:n1], bitorder="little").tobytes(), "little")
-    out = np.zeros((r, nout + w + kb + 8), dtype=np.uint8)
-    wg = 0
-    for k in range(0, a.shape[1], kb):
-        # build the table, and again without the columns past n1 once they are
-        # half of it and 1024 row bytes remain
-        if not wg or 2 * (nout - k + kb + 7) < wg and r * (a.shape[1] - k) > 1024:
-            w = min(w, nout - k)
-            wg = (w + kb + 7) // 8 * 8 + 1      # b's w bytes, shifted, then zeros: wg - 1 words
-            y = x & ((1 << 8 * w) - 1)
-            # from the pairs (0, b << j), each pass XORs every group's high half onto its low half
-            table = np.frombuffer(b"".join(bytes(wg) + (y << j).to_bytes(wg, "little")
-                                           for j in range(8)), np.uint8)
-            for groups in (4, 2, 1):
-                t = table.reshape(groups, 2, -1, wg)
-                table = (t[:, 1, :, None] ^ t[:, 0, None]).reshape(-1, wg)
-        g = np.take(table, a[:, k:k + kb], axis=0)
+    kb = min(128, max(8, _BLOCK // (r * min(table.shape[1] - 128, nout))), na)
+    block = _block(table, nout, kb)
+    out = np.zeros((r, na + block.shape[1]), dtype=np.uint8)
+    for k in range(0, na, kb):
+        # again without the columns past nout - k once they are half of it
+        # and 1024 row bytes remain
+        if 2 * (nout - k + kb + 7) < block.shape[1] and r * (na - k) > 1024:
+            block = _block(table, nout - k, kb)
+        wg = block.shape[1]
+        g = np.take(block, a[:, k:k + kb], axis=0)
         # g read with row stride wg - 1: the table row of block byte j lands at offset j
         skew = np.ndarray((r, g.shape[1], wg // 8), np.uint64, g, 0, (g.shape[1] * wg, wg - 1, 8))
         out[:, k:k + wg - 1] ^= np.bitwise_xor.reduce(skew, axis=1).view(np.uint8)
+    return out[:, :nout]
+
+
+def _clmul(rows, b, n1):
+    """The first n1 coefficients of each row of a 0/1 array times b over F_2,
+    carry-less: pack, one _table of b[:n1], _gather, unpack."""
+    a = np.packbits(rows[:, :n1].astype(np.uint8), axis=1, bitorder="little")
+    out = _gather(a, _table(b[:n1]), n1)
     return np.unpackbits(out, axis=1, count=n1, bitorder="little").astype(_DT)
 
 
@@ -132,16 +164,15 @@ def _conv(a, b, p, n1):
     """The first n1 < len(a) + len(b) coefficients of a*b mod p, for arrays of
     canonical residues, or of each row times b for an (r, m) array a.  At
     p = 2, _clmul from _CLMUL coefficients (both operands, each up to its last
-    nonzero coefficient; rows: r*m of them, m >= _CLMUL_ROWS).  Otherwise
-    np.convolve, or Kronecker if long or rows (m + len(b) - 1 slots
-    apart), in slots that hold n*(p-1)^2, n the shorter length: at p = 2 one
-    bit per coefficient in n.bit_length() bits, read mod 2 at bit 0; else 16,
-    32 or 64 bits."""
+    nonzero coefficient).  Otherwise np.convolve, or Kronecker if long or
+    rows (m + len(b) - 1 slots apart), in slots that hold n*(p-1)^2, n the
+    shorter length: at p = 2 one bit per coefficient in n.bit_length() bits,
+    read mod 2 at bit 0; else 16, 32 or 64 bits."""
     rows = a.ndim == 2
-    if p == 2 and (a.size >= _CLMUL and a.shape[1] >= _CLMUL_ROWS if rows else
-                   # high zero coefficients make bit slots shorter, not the kernel
-                   len(a) >= _CLMUL <= len(b) and a[_CLMUL - 1:].any() and b[_CLMUL - 1:].any()):
-        return _clmul(a, b, n1) if rows else _clmul(a[None], b, n1)[0]
+    if p == 2 and not rows and len(a) >= _CLMUL <= len(b) and (
+            # high zero coefficients make bit slots shorter, not the kernel
+            a[_CLMUL - 1:].any() and b[_CLMUL - 1:].any()):
+        return _clmul(a[None], b, n1)[0]
     if rows or len(a) >= _KRONECKER <= len(b):     # wider slots only raise the crossover
         n = min(a.shape[-1], len(b))
         if p != 2:
@@ -171,18 +202,21 @@ def _conv(a, b, p, n1):
 
 
 def _mul(a, b, p):
-    """Product in F_p[t]/(t^n1), n1 = len(a): _conv above the valuations,
-    of one slice if b is a; at p = 2 a square is the spread a(t^2)."""
+    """Product in F_p[t]/(t^n1), n1 = len(a): _conv of the operands from
+    their valuations to their last nonzero coefficients, of one slice if b is
+    a; at p = 2 a square is the spread a(t^2)."""
     n1 = a.shape[0]
     if p == 2 and b is a:
         return _substitute(a, 2, n1)
-    va = int((a != 0).argmax())
-    vb = int((b != 0).argmax())
+    ea = a.nonzero()[0]         # exponents of nonzero coefficients
+    eb = ea if b is a else b.nonzero()[0]
     out = _zeros(n1)
-    if a[va] and b[vb] and va + vb < n1:
-        span = n1 - va - vb
-        x = a[va:va + span]
-        out[va + vb:] = _conv(x, x if b is a else b[vb:vb + span], p, span)
+    if len(ea) and len(eb) and ea[0] + eb[0] < n1:
+        v = int(ea[0] + eb[0])
+        x = a[ea[0]:min(ea[-1] + 1, n1 - eb[0])]
+        y = x if b is a else b[eb[0]:min(eb[-1] + 1, n1 - ea[0])]
+        c = _conv(x, y, p, min(n1 - v, len(x) + len(y) - 1))
+        out[v:v + len(c)] = c
     return out
 
 
@@ -260,7 +294,12 @@ def _compose(f, g, p):
     coefficients, or p^2 > L: the roots alone) are one matrix for the block
     ladder, blocks of m = min(L, isqrt(q*r*L)) coefficients against the rows
     g^0, ..., g^m (g^j one _conv from t^j on, as g(0) = 0), Horner in g^m
-    when m < L.  Each level up is p - 1 row products by g, child i into [::p]."""
+    when m < L.  Each level up is p - 1 row products by g, child i into [::p].
+    At p = 2, once the top level's r*n1 reaches _CLMUL in rows of at least
+    _CLMUL_ROWS, the levels run on bit-packed rows: one _table of g for the
+    walk, a level of n coefficients spreads its children by _SPREAD and
+    _gathers the odd one by g in ceil(n/8) bytes.  A row's bits at or above n
+    are left as they fall, since every later level moves them only higher."""
     r, *lens = f.shape          # lens: the lengths of each level's nodes, from the roots
     while lens[-1] > _TWIG and p * p <= lens[-1]:
         lens.append((lens[-1] - 1) // p + 1)
@@ -277,6 +316,13 @@ def _compose(f, g, p):
     acc = leaves[:, -m:] @ pows[:m] % p
     for i in reversed(range(nb - 1)):
         acc = (_mul_rows(acc, pows[m], p) + leaves[:, i * m:(i + 1) * m] @ pows[:m]) % p
+    if p == 2 and r * f.shape[1] >= _CLMUL and f.shape[1] >= _CLMUL_ROWS:
+        table = _table(g)
+        acc = np.packbits(acc.astype(np.uint8), axis=1, bitorder="little")
+        for n in reversed(lens):
+            child = _SPREAD[acc.reshape(2, -1, acc.shape[1])].view(np.uint8)[..., :(n + 7) // 8]
+            acc = _gather(child[1], table, n) ^ child[0]
+        return np.unpackbits(acc, axis=1, count=lens[0], bitorder="little").astype(_DT)
     for n in reversed(lens):
         child = acc.reshape(p, -1, acc.shape[1])    # child i of row k*r + s: row (i*nodes + k)*r + s
         acc = _zeros((child.shape[1], n))

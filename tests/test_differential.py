@@ -5,7 +5,8 @@ byte slots otherwise) or, longer still at p = 2, a carry-less byte-table
 kernel, p = 2 squares are spreads, composition runs the Frobenius split
 one level at a time above the block-ladder leaves (at most _TWIG
 coefficients, or fewer than p^2), each level's rows multiplied by g in one
-packed product, p-th powers and Artin-Schreier squares run as coefficient
+packed product (at p = 2 and long, on rows kept bit-packed from the leaves
+to the root), p-th powers and Artin-Schreier squares run as coefficient
 spreads, powers above N reduce their exponent, m-th roots and reversion
 (above the elimination leaf) run Newton iteration, klopsch_rep works in
 x = t^m, and division by 1 + t over F_2 is a prefix XOR; each is checked
@@ -21,8 +22,8 @@ from nottingham import BadRoot, MismatchedContext, NonzeroConstant, series
 from nottingham.group import GroupElement, klopsch_rep
 from nottingham.order4 import _r
 from nottingham.series import (
-    _CLMUL, _CLMUL_ROWS, _KRONECKER, _LEAF, _TWIG, Series, _clmul, _compose, _compose_all, _conv,
-    _eliminate, _mul, _mul_rows)
+    _CLMUL, _CLMUL_ROWS, _KRONECKER, _LEAF, _SPREAD, _TWIG, Series, _clmul, _compose, _compose_all,
+    _conv, _eliminate, _gather, _mul, _mul_rows, _substitute)
 
 from support import (
     coefficientwise_nth_root,
@@ -92,6 +93,22 @@ def test_mul_with_valuations_matches_naive(p):
                    + [rng.randrange(p) for _ in range(n - vb)])
         assert f * g == naive_product(f, g), (p, span)
         assert g * f == naive_product(f, g), (p, span)
+
+
+@pytest.mark.parametrize("p", (2, 3, 257))
+def test_mul_with_zero_tails_matches_naive(p):
+    """Operands with high zero coefficients, which _mul cuts at their last
+    nonzero coefficient: 1 + t, t^k, 0 and all ones against each other and a
+    random series, both ways round and squared, on each side of the
+    Kronecker crossover and of _CLMUL."""
+    rng = random.Random(485 + p)
+    for n in sorted({1, 2, CROSSOVER[p], _CLMUL}):
+        k = rng.randrange(1, n + 1)
+        tails = [Series(p, n, [1, 1][:n + 1]), Series.from_terms(p, n, {k: p - 1}),
+                 Series.zero(p, n), Series(p, n, [p - 1] * (n + 1)), random_series(rng, p, n)]
+        for f in tails:
+            for g in tails:
+                assert f * g == naive_product(f, g), (p, n, f, g)
 
 
 # (p, n) on each side of every byte-slot switch: n*(p-1)^2 reaches 2^16 at
@@ -252,10 +269,10 @@ def test_conv_takes_the_byte_table_kernel_at_its_crossover():
             assert np.array_equal(_conv(x, y, 2, 2 * _CLMUL), np.convolve(x, y)[:2 * _CLMUL] % 2), e
 
 
-def test_mul_rows_takes_the_byte_table_kernel_at_its_crossover():
-    """Rows take the kernel from r*m = _CLMUL coefficients in rows of m =
-    _CLMUL_ROWS: each side of both edges, 1, 2 and 27 rows, one row with a
-    valuation and one zero, and all ones."""
+def test_mul_rows_at_the_walk_crossover_shapes():
+    """Row products of r*m = _CLMUL coefficients and rows of m = _CLMUL_ROWS,
+    where a composition's walk goes packed: each side of both edges, 1, 2
+    and 27 rows, one row with a valuation and one zero, and all ones."""
     rng = np.random.default_rng(540)
     m0, c = _CLMUL_ROWS, _CLMUL
     shapes = [(r, m) for r in (1, 2, 27) for m in (m0 - 1, m0, m0 + 1)]
@@ -273,9 +290,9 @@ def test_mul_rows_takes_the_byte_table_kernel_at_its_crossover():
 
 
 def test_conv_routes_to_the_byte_table_kernel(monkeypatch):
-    """The kernel runs exactly from its crossovers: a shorter operand of
-    _CLMUL, counted to its last nonzero coefficient, and row products of
-    _CLMUL coefficients in rows of at least _CLMUL_ROWS."""
+    """The kernel runs exactly from its crossover, a shorter operand of
+    _CLMUL counted to its last nonzero coefficient; row products never take
+    it, on either side of the walk's rule."""
     calls = []
     monkeypatch.setattr(series, "_clmul", lambda *args: calls.append(args) or _clmul(*args))
     ones = np.ones(2 * _CLMUL, dtype=np.int64)
@@ -287,13 +304,13 @@ def test_conv_routes_to_the_byte_table_kernel(monkeypatch):
         _conv(a, b, 3, len(a))
         assert len(calls) == want, (len(a), np.flatnonzero(a))
     m0 = _CLMUL_ROWS
-    for r, m, want in ((-(-_CLMUL // m0), m0, 1), (-(-_CLMUL // m0) + 1, m0 - 1, 0),
-                       (2, _CLMUL // 2, 1), (2, _CLMUL // 2 - 1, 0)):
+    for r, m in ((-(-_CLMUL // m0), m0), (-(-_CLMUL // m0) + 1, m0 - 1),
+                 (2, _CLMUL // 2), (2, _CLMUL // 2 - 1)):
         calls.clear()
         rows = np.ones((r, m), dtype=np.int64)
         _mul_rows(rows, ones, 2)
         _mul_rows(rows, ones, 3)
-        assert len(calls) == want, (r, m)
+        assert calls == [], (r, m)
 
 
 @pytest.mark.parametrize("n", [1023, 1024, 1025])
@@ -460,6 +477,73 @@ def test_compose_stack_with_rows_0_1_and_t(p):
         for stack in ((0, 3), (3, 1), (2, 3), (1, 2, 3), (3, 0, 2), (2, 1, 0)):
             got = _compose(np.stack([rows[i].coeffs for i in stack]), g.coeffs, p)
             assert np.array_equal(got, np.stack([images[i].coeffs for i in stack])), (p, n, stack)
+
+
+# (r, L) on each side of the packed walk's rule, r*L >= _CLMUL in rows of
+# L >= _CLMUL_ROWS: r*L at _CLMUL - 1 and from _CLMUL, for r = 1, 2, 3; L
+# at _CLMUL_ROWS - 1 and + 1 for r = 6, the least r whose r*L crosses
+# _CLMUL there; L + 1 = N + 1 at 0, 1 and 7 mod 8, and N = 2048, 4096.
+WALK_EDGES = [(r, -(-_CLMUL // r) + d) for r in (1, 2, 3) for d in (-1, 0)]
+WALK_EDGES += [(6, _CLMUL_ROWS + d) for d in (-1, 0, 1)]
+WALK_SHAPES = WALK_EDGES + [(r, L) for r in (1, 2, 3) for L in (_CLMUL - 1, _CLMUL + 1, 2049, 4097)]
+
+
+def test_packed_walk_matches_horner(monkeypatch):
+    """p = 2 stacks on both sides of the packed walk's rule, each row 0, 1,
+    t, all ones or random, against horner_compose; bits a packed row holds
+    past a node's length would show in the all-ones rows.  g is dense up to
+    L = _CLMUL + 1 and reaches t^40 beyond, which keeps the oracle cheap.
+    A _BLOCK of 1 walks 8 row bytes at a time and, at r = 3 and L = 4097,
+    narrows a level's table."""
+    rng = random.Random(447)
+    for L in sorted({L for _, L in WALK_SHAPES}):
+        n = L - 1
+        g = Series(2, n, random_no_constant(rng, 2, n if L <= _CLMUL + 1 else 40).coeffs)
+        ones, f = Series(2, n, [1] * L), random_series(rng, 2, n)
+        pairs = [(Series.zero(2, n), Series.zero(2, n)), (Series.one(2, n), Series.one(2, n)),
+                 (Series.gen(2, n), g), (ones, horner_compose(ones, g)), (f, horner_compose(f, g))]
+        for r in sorted({r for r, L2 in WALK_SHAPES if L2 == L}):
+            for j in range(5):      # every row in every slot of a stack of two or more
+                stack = [pairs[(i + j) % 5] for i in range(r)]
+                for block in (series._BLOCK, 1):
+                    monkeypatch.setattr(series, "_BLOCK", block)
+                    got = _compose(np.stack([a.coeffs for a, _ in stack]), g.coeffs, 2)
+                    assert np.array_equal(got, np.stack([b.coeffs for _, b in stack])), (r, L, j, block)
+
+
+def test_spread_table_is_the_substitution():
+    """_SPREAD[v] is the byte v at t -> t^2, and a bit-packed row spread
+    byte by byte is _substitute(a, 2, n)."""
+    for v in range(256):
+        a = np.array([v >> i & 1 for i in range(8)], dtype=np.int64)
+        spread = _substitute(a, 2, 16)
+        assert int(_SPREAD[v]) == int((spread << np.arange(16)).sum()), v
+    a = bits(np.random.default_rng(448), 301)
+    packed = np.packbits(a.astype(np.uint8), bitorder="little")
+    got = np.unpackbits(_SPREAD[packed].view(np.uint8), count=602, bitorder="little")
+    assert np.array_equal(got, _substitute(a, 2, 602))
+
+
+def test_certificate_walks_packed_and_group_ops_do_not(monkeypatch):
+    """run_checks at N = 2048 makes no p = 2 row product: both its walks go
+    packed, gathering by g's table.  A p = 2 composition at N = 384 (as in
+    group_ops) keeps its int64 walk and gathers nothing, and a stack goes
+    packed exactly where r*L >= _CLMUL and L >= _CLMUL_ROWS."""
+    from nottingham.order4 import run_checks, sigma_bundle
+    bundle = sigma_bundle(2048)
+    shapes, gathers = [], []
+    monkeypatch.setattr(series, "_conv", lambda a, b, p, n1: shapes.append((a.ndim, p)) or _conv(a, b, p, n1))
+    monkeypatch.setattr(series, "_gather", lambda *args: gathers.append(1) or _gather(*args))
+    run_checks(bundle)
+    assert (2, 2) not in shapes and gathers
+    rng = random.Random(449)
+    shapes.clear(), gathers.clear()
+    random_series(rng, 2, 384).compose(random_no_constant(rng, 2, 384))
+    assert (2, 2) in shapes and not gathers
+    for r, L in WALK_EDGES:
+        gathers.clear()
+        _compose(np.ones((r, L), dtype=np.int64), random_no_constant(rng, 2, L - 1).coeffs, 2)
+        assert bool(gathers) == (r * L >= _CLMUL and L >= _CLMUL_ROWS), (r, L)
 
 
 def test_compose_all_checks_every_row():
