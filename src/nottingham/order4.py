@@ -186,9 +186,9 @@ class VerificationReport:
 
 def _first_difference(f, g):
     """Least exponent where two same-context series differ, else None."""
-    diff = f - g
-    v = diff.valuation()
-    return None if v > f.trunc else v
+    f._check_context(g)
+    d = f.coeffs != g.coeffs
+    return int(d.argmax()) if d.any() else None
 
 
 def run_checks(bundle):

@@ -92,6 +92,11 @@ def _zeros(n1):
     return np.zeros(n1, dtype=_DT)
 
 
+def _red(x, p):
+    """An int array mod p: at p = 2 the mask x & 1, which is x % 2 in two's complement."""
+    return x & 1 if p == 2 else x % p
+
+
 def _bits(a, s):
     """The int with bit k*s equal to a[k], for an array of 0s and 1s."""
     m = np.zeros(len(a) * s, dtype=np.uint8)
@@ -198,7 +203,7 @@ def _conv(a, b, p, n1):
             if rows:
                 c = c.reshape(r, -1)[:, :n1]
             return (c if p == 2 else c % p).astype(_DT)
-    return np.convolve(a, b)[:n1] % p
+    return _red(np.convolve(a, b)[:n1], p)
 
 
 def _mul(a, b, p):
@@ -225,7 +230,7 @@ def _mul_rows(rows, g, p):
     single row by a 1-D _conv, or as a multiple of g if it is constant."""
     r, n1 = rows.shape
     if r == 1 and not rows[0, 1:].any():
-        return rows[:, :1] * g[:n1] % p
+        return _red(rows[:, :1] * g[:n1], p)
     return _conv(rows if r > 1 else rows[0], g[:n1], p, n1).reshape(r, n1)
 
 
@@ -280,7 +285,7 @@ def _reciprocal(a, p):
     while prec < n1:
         prec = min(2 * prec, n1)
         # g' = g*(2 - a*g) lifts a correct inverse mod t^k to mod t^(2k)
-        corr = (-_conv(a[:prec], g, p, prec)) % p
+        corr = _red(-_conv(a[:prec], g, p, prec), p)
         corr[0] = (corr[0] + 2) % p
         g = _conv(g, corr, p, prec)
     return g
@@ -313,9 +318,9 @@ def _compose(f, g, p):
     nb = -(-n1 // m)            # blocks per leaf
     leaves = np.concatenate([f, _zeros((r, q * nb * m - f.shape[1]))], axis=1)
     leaves = leaves.reshape(r, nb * m, q).transpose(2, 0, 1).reshape(q * r, nb * m)
-    acc = leaves[:, -m:] @ pows[:m] % p
+    acc = _red(leaves[:, -m:] @ pows[:m], p)
     for i in reversed(range(nb - 1)):
-        acc = (_mul_rows(acc, pows[m], p) + leaves[:, i * m:(i + 1) * m] @ pows[:m]) % p
+        acc = _red(_mul_rows(acc, pows[m], p) + leaves[:, i * m:(i + 1) * m] @ pows[:m], p)
     if p == 2 and r * f.shape[1] >= _CLMUL and f.shape[1] >= _CLMUL_ROWS:
         table = _table(g)
         acc = np.packbits(acc.astype(np.uint8), axis=1, bitorder="little")
@@ -329,7 +334,7 @@ def _compose(f, g, p):
         acc[:, ::p] = child[p - 1]
         for i in reversed(range(p - 1)):
             acc = _mul_rows(acc, g, p)
-            acc[:, ::p] = (acc[:, ::p] + child[i]) % p
+            acc[:, ::p] = _red(acc[:, ::p] + child[i], p)
     return acc
 
 
@@ -351,7 +356,7 @@ def _eliminate(a, p):
     g = _zeros(n1)
     g[1] = inv_f1
     apow = a.copy()                 # a^n as n advances, from t^n on
-    acc = (inv_f1 * apow) % p       # sum of g_k a^k over known k, from t^n on
+    acc = _red(inv_f1 * apow, p)    # sum of g_k a^k over known k, from t^n on
     inv_pow = inv_f1                # 1 / a_1^n
     for n in range(2, n1):
         apow[n:] = _conv(apow[n - 1:-1], a[1:n1 - n + 1], p, n1 - n)
@@ -360,7 +365,7 @@ def _eliminate(a, p):
         if c:
             gn = (-c * inv_pow) % p
             g[n] = gn
-            acc[n:] = (acc[n:] + gn * apow[n:]) % p
+            acc[n:] = _red(acc[n:] + gn * apow[n:], p)
     return g
 
 
@@ -374,9 +379,9 @@ def _reversion(a, p):
         return _eliminate(a, p)
     h = n1 // 2 + 1
     g = np.concatenate([_reversion(a[:h], p), _zeros(n1 - h)])
-    dg = (g[1:n1 - h + 1] * np.arange(1, n1 - h + 1)) % p      # g' mod t^(n1-h)
+    dg = _red(g[1:n1 - h + 1] * np.arange(1, n1 - h + 1), p)   # g' mod t^(n1-h)
     # f(g) - t is t^h times f(g)'s tail from t^h
-    g[h:] = (g[h:] - _mul(_compose(a[None], g, p)[0, h:], dg, p)) % p
+    g[h:] = _red(g[h:] - _mul(_compose(a[None], g, p)[0, h:], dg, p), p)
     return g
 
 
@@ -396,7 +401,7 @@ class Series:
             arr = np.asarray([c % p if _is_int(c) else c for c in arr.tolist()])
             if arr.dtype.kind != "i":
                 raise ValueError(f"coefficients must be integers, got dtype {arr.dtype}")
-        arr = arr.astype(_DT, copy=False) % p
+        arr = _red(arr.astype(_DT, copy=False), p)
         if arr.shape[0] < trunc + 1:
             arr = np.concatenate([arr, _zeros(trunc + 1 - arr.shape[0])])
         arr.flags.writeable = False
@@ -432,11 +437,12 @@ class Series:
 
     @classmethod
     def from_terms(cls, p, trunc, terms):
-        """Build from {exponent: coefficient} (or an iterable of pairs)."""
+        """Build from {exponent: coefficient} or an iterable of pairs, each exponent once."""
         items = terms.items() if hasattr(terms, "items") else terms
         check_prime(p)
         _check_trunc(trunc)
         arr = _zeros(trunc + 1)
+        seen = set()
         for e, c in items:
             try:
                 e, c = index(e), index(c)
@@ -444,6 +450,9 @@ class Series:
                 raise ValueError(f"terms must be int pairs, got {_echo(e)}: {_echo(c)}") from None
             if not 0 <= e <= trunc:
                 raise ValueError(f"exponent {_echo(e)} outside [0, {trunc}]")
+            if e in seen:
+                raise ValueError(f"exponent {e} given twice")
+            seen.add(e)
             arr[e] = c % p
         return cls(p, trunc, arr)
 
@@ -456,7 +465,7 @@ class Series:
                 f"(p={self.p}, N={self.trunc}) vs (p={other.p}, N={other.trunc})")
 
     def __getitem__(self, e):
-        if not 0 <= e <= self.trunc:
+        if not _is_int(e) or not 0 <= e <= self.trunc:
             raise IndexError(f"exponent {_echo(e)} outside [0, {self.trunc}]")
         return int(self.coeffs[e])
 
@@ -505,7 +514,7 @@ class Series:
     def __add__(self, other):
         if isinstance(other, Series):
             self._check_context(other)
-            return self._new((self.coeffs + other.coeffs) % self.p)
+            return self._new(_red(self.coeffs + other.coeffs, self.p))
         if _is_int(other):
             arr = self.coeffs.copy()
             arr[0] = (arr[0] + other % self.p) % self.p
@@ -515,12 +524,12 @@ class Series:
     __radd__ = __add__
 
     def __neg__(self):
-        return self._new((-self.coeffs) % self.p)
+        return self._new(_red(-self.coeffs, self.p))
 
     def __sub__(self, other):
         if isinstance(other, Series):
             self._check_context(other)
-            return self._new((self.coeffs - other.coeffs) % self.p)
+            return self._new(_red(self.coeffs - other.coeffs, self.p))
         if _is_int(other):
             return self + (-other)
         return NotImplemented
@@ -535,7 +544,7 @@ class Series:
             self._check_context(other)
             return self._new(_mul(self.coeffs, other.coeffs, self.p))
         if _is_int(other):
-            return self._new((self.coeffs * (other % self.p)) % self.p)
+            return self._new(_red(self.coeffs * (other % self.p), self.p))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -572,21 +581,18 @@ class Series:
     def artin_schreier_root(self):
         """The unique s with s(0) = 0 and s^2 + s = self (characteristic 2).
 
-        Computed as the truncation of sum_i self^(2^i); the sum stops once
-        the valuation of the power exceeds N, and the result telescopes:
-        s^2 + s recovers self exactly because the tail square drops out.
-        Each square is a coefficient spread, so the root costs O(N log N).
+        Over F_2, s^2 = s(t^2), so s = self + s(t^2), solved in place from
+        s = self: once s[:2k] is final, s[2k:4k:2] ^= s[k:2k] makes s[:4k]
+        final: one slice XOR for each k = 1, 2, 4, ... with 2k <= N, O(N) in all.
         """
         if self.p != 2:
             raise WrongCharacteristic("s^2 + s = f solvable this way only for p = 2")
         if self.coeffs[0] != 0:
             raise NonzeroConstant("right-hand side must have constant term zero")
-        n1 = self.trunc + 1
-        s = _zeros(n1)
-        power = self.coeffs
-        while np.any(power):
-            s ^= power
-            power = _substitute(power, 2, n1)
+        s, k = self.coeffs.copy(), 1
+        while (even := s[2 * k:4 * k:2]).size:
+            even ^= s[k:k + len(even)]
+            k *= 2
         return self._new(s)
 
     def nth_root(self, m):
@@ -609,7 +615,7 @@ class Series:
         while u.shape[0] < n1:
             u = np.concatenate([u, _zeros(min(u.shape[0], n1 - u.shape[0]))])
             q = _mul(self.coeffs[:u.shape[0]], _reciprocal(_pow(u, m - 1, p), p), p)
-            u = (u + inv_m * (q - u)) % p
+            u = _red(u + inv_m * (q - u), p)
         return self._new(u)
 
     # ------------------------------------------------------------------

@@ -9,7 +9,9 @@ degree-by-degree elimination for reversion, the plain-squaring sum for
 Artin-Schreier roots and the coefficient-at-a-time m-th root.  They
 multiply with convolve_product, one int64 convolution, which is the
 library's product kernel without Kronecker substitution, so they do not
-run the kernel they check.
+run the kernel they check.  The spread sum for Artin-Schreier roots, the
+loop the library ran before it solved s = f + s(t^2) by doubling, makes
+no product at all, so it stays fast at large N.
 """
 
 import contextlib
@@ -123,6 +125,20 @@ def eliminate_reversion(f):
             g[k] = -acc[k] * inv_pow % p
             acc = acc + fpow * g[k]
     return Series(p, n, g)
+
+
+def spread_artin_schreier_root(f):
+    """sum_i f^(2^i) with every square the spread f(t^2), until a power is
+    zero: the root oracle for s^2 + s = f (f(0) = 0) at large N, one numpy
+    spread and one XOR per term, with no product."""
+    s = np.zeros(f.trunc + 1, dtype=np.int64)
+    power = f.coeffs
+    while power.any():
+        s ^= power
+        spread = np.zeros_like(power)
+        spread[::2] = power[:(len(power) + 1) // 2]
+        power = spread
+    return Series(2, f.trunc, s)
 
 
 def summed_artin_schreier_root(f):

@@ -6,8 +6,8 @@ kernel, p = 2 squares are spreads, composition runs the Frobenius split
 one level at a time above the block-ladder leaves (at most _TWIG
 coefficients, or fewer than p^2), each level's rows multiplied by g in one
 packed product (at p = 2 and long, on rows kept bit-packed from the leaves
-to the root), p-th powers and Artin-Schreier squares run as coefficient
-spreads, powers above N reduce their exponent, m-th roots and reversion
+to the root), p-th powers run as coefficient spreads and Artin-Schreier
+roots as an in-place doubling, powers above N reduce their exponent, m-th roots and reversion
 (above the elimination leaf) run Newton iteration, klopsch_rep works in
 x = t^m, and division by 1 + t over F_2 is a prefix XOR; each is checked
 for bit-equality against an algorithm that does none of that.
@@ -18,7 +18,7 @@ import random
 import numpy as np
 import pytest
 
-from nottingham import BadRoot, MismatchedContext, NonzeroConstant, series
+from nottingham import BadRoot, MismatchedContext, NonzeroConstant, WrongCharacteristic, series
 from nottingham.group import GroupElement, klopsch_rep
 from nottingham.order4 import _r
 from nottingham.series import (
@@ -38,6 +38,7 @@ from support import (
     random_one_unit,
     random_series,
     random_unit,
+    spread_artin_schreier_root,
     summed_artin_schreier_root,
 )
 
@@ -709,6 +710,37 @@ def test_artin_schreier_matches_summation():
     for n in range(41):
         for f in (random_no_constant(rng, 2, n), sparse_inner(rng, 2, n)):
             assert f.artin_schreier_root() == summed_artin_schreier_root(f)
+
+
+@pytest.mark.parametrize("n", (63, 64, 65, 127, 128, 129, 2047, 2048, 2049, 16384))
+def test_artin_schreier_doubling_matches_spread_sum(n):
+    """The in-place doubling s[2k:4k:2] ^= s[k:2k] against the spread sum, on
+    each side of powers of two, where the last doubling step is cut short:
+    random f with f(0) = 0, a sparse f, and t^3 + t^4, the certificate's
+    right-hand side.  The argument is left as it was."""
+    rng = random.Random(435 + n)
+    for f in (random_no_constant(rng, 2, n), sparse_inner(rng, 2, n),
+              Series.from_terms(2, n, {3: 1, 4: 1})):
+        before = f.coeffs.copy()
+        s = f.artin_schreier_root()
+        assert s == spread_artin_schreier_root(f), n
+        assert np.array_equal(f.coeffs, before)
+
+
+def test_artin_schreier_at_the_lowest_precisions():
+    """Every f with f(0) = 0 at N = 0, 1, 2 against both oracles, and the two
+    guards there, the characteristic checked first."""
+    for n in (0, 1, 2):
+        for bits in range(2 ** n):
+            f = Series(2, n, [0] + [bits >> i & 1 for i in range(n)])
+            s = f.artin_schreier_root()
+            assert s == spread_artin_schreier_root(f) == summed_artin_schreier_root(f), (n, bits)
+            assert s * s + s == f
+        with pytest.raises(NonzeroConstant):
+            Series.one(2, n).artin_schreier_root()
+        for f in (Series.zero(3, n), Series.one(3, n)):
+            with pytest.raises(WrongCharacteristic):
+                f.artin_schreier_root()
 
 
 @pytest.mark.parametrize("p", PRIMES)

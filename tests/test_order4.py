@@ -5,6 +5,7 @@ import pytest
 from nottingham import (
     BadPrecision,
     GroupElement,
+    MismatchedContext,
     identity,
     relation_root,
     run_checks,
@@ -235,6 +236,50 @@ def test_renders_of_tampered_bundles_at_2048():
         "order_four: FAIL first_failure_exponent=1280\n"
         "route_agreement: FAIL first_failure_exponent=1200\n"
     )
+
+
+def subtraction_first_difference(f, g):
+    """The valuation of f - g, or None past N: run_checks' comparison before
+    it compared the coefficient arrays directly."""
+    v = (f - g).valuation()
+    return None if v > f.trunc else v
+
+
+@pytest.mark.parametrize("n", (8, 64, 2048))
+def test_first_difference_renders_as_the_subtraction(monkeypatch, n):
+    """One coefficient flipped in the Artin-Schreier root, the relation root
+    or the candidate, at its valuation (for the candidate, that of
+    sigma(t) - t, as its t coefficient is fixed), a middle exponent and N:
+    each bundle renders the same under the subtraction helper, and fails."""
+    b = sigma_bundle(n)
+    sigma = b.sigma_closed.series
+    flips = {"schreier_root": (b.schreier_root, b.schreier_root.valuation()),
+             "relation_root": (b.relation_root, b.relation_root.valuation()),
+             "sigma_closed": (sigma, (sigma - Series.gen(2, n)).valuation())}
+    bundles = [b]
+    for slot, (x, v) in flips.items():
+        for e in (v, n // 2 + 1, n):
+            y = x + Series.from_terms(2, n, {e: 1})
+            bundles.append(replace(b, **{slot: GroupElement(y) if x is sigma else y}))
+    renders = [run_checks(x).render() for x in bundles]
+    monkeypatch.setattr(order4, "_first_difference", subtraction_first_difference)
+    assert renders == [run_checks(x).render() for x in bundles]
+    assert "FAIL" not in renders[0]
+    assert all("FAIL" in r for r in renders[1:])
+
+
+def test_first_difference_checks_the_context():
+    f = Series.gen(2, 8)
+    for g in (Series.gen(2, 9), Series.gen(3, 8), Series.gen(2, 7)):
+        with pytest.raises(MismatchedContext):
+            order4._first_difference(f, g)
+    assert order4._first_difference(f, f) is None
+    assert order4._first_difference(f, f + Series.from_terms(2, 8, {8: 1})) == 8
+    assert order4._first_difference(f, Series.zero(2, 8)) == 1
+    b = sigma_bundle(64)
+    for other in (sigma_closed(63), sigma_closed(65)):
+        with pytest.raises(MismatchedContext):
+            run_checks(b.with_candidate(other))
 
 
 def test_division_by_one_plus_t_makes_no_product(monkeypatch):

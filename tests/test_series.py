@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from nottingham import (
@@ -18,7 +19,7 @@ from nottingham import (
     order_mod_truncation,
     sigma_closed,
 )
-from nottingham.series import MAX_TRUNC, Series
+from nottingham.series import _KRONECKER, MAX_TRUNC, Series, _conv, _red
 
 from support import (
     horner_compose,
@@ -38,6 +39,16 @@ def test_from_terms_and_getitem():
     f = Series.from_terms(5, 6, {0: 7, 3: 2})
     assert [f[i] for i in range(7)] == [2, 0, 0, 2, 0, 0, 0]
     assert f.support() == [0, 3]
+
+
+@pytest.mark.parametrize("e", [True, False, 1.0, 2.5, "1", None],
+                         ids=["true", "false", "float", "fraction", "str", "none"])
+def test_getitem_rejects_a_non_int_exponent(e):
+    # the IndexError of an out-of-range exponent, with the value echoed,
+    # never numpy's own error text
+    with pytest.raises(IndexError) as info:
+        Series.gen(2, 4)[e]
+    assert str(info.value) == f"exponent {e!r} outside [0, 4]"
 
 
 def test_constructor_pads_and_reduces():
@@ -122,6 +133,24 @@ def test_from_terms_rejects_out_of_range_exponent():
         Series.from_terms(2, 4, {5: 1})
 
 
+@pytest.mark.parametrize("terms, e", [
+    ([(1, 1), (1, 2)], 1),
+    ([(0, 1), (3, 1), (2, 2), (3, 0)], 3),
+    (iter([(2, 1), (True, 1), (1, 1)]), 1),    # True is the exponent 1
+], ids=["pair", "not-adjacent", "bool-alias"])
+def test_from_terms_rejects_a_repeated_exponent(terms, e):
+    # a second coefficient for one exponent is an error, not a silent overwrite
+    with pytest.raises(ValueError, match=f"exponent {e} given twice"):
+        Series.from_terms(3, 4, terms)
+
+
+def test_from_terms_takes_distinct_pairs_in_any_order():
+    want = Series(3, 4, [0, 1, 2, 0, 1])
+    assert Series.from_terms(3, 4, [(4, 1), (1, 1), (2, 2)]) == want
+    assert Series.from_terms(3, 4, {4: 1, 1: 1, 2: -1}) == want
+    assert Series.from_terms(3, 4, [(0, 0), (1, 1), (2, 2), (4, 4)]) == want
+
+
 @pytest.mark.parametrize("p, terms", [
     (0, {1: 1}),        # not a prime: checked before any c % p
     (2, {1.5: 1}),      # non-int exponent
@@ -203,6 +232,78 @@ def test_scalar_and_int_operations():
     assert (1 - t)[1] == 4
     assert (-t)[1] == 4
     assert (t * 0).is_zero()
+
+
+I64 = np.iinfo(np.int64)
+
+
+@pytest.mark.parametrize("coeffs", [
+    [-1, -2, -3, 5, 0, -(2 ** 40) - 1],
+    [I64.min, I64.max, I64.min + 1, I64.max - 1],
+    np.array([I64.min, -1, I64.max], dtype=np.int64),
+    np.array([True, False, True]),
+    np.array([-128, -127, -1, 0, 1, 127], dtype=np.int8),
+    np.array([0, 1, 128, 254, 255], dtype=np.uint8),
+    [2 ** 64 + 1, -(2 ** 70) - 1, 2 ** 63, -(2 ** 63) - 1, 2 ** 63 + 2],
+], ids=["negative", "int64-extremes", "int64-array", "bool", "int8", "uint8", "wider-than-int64"])
+def test_mask_at_p2_is_the_remainder_in_the_constructor(coeffs):
+    """At p = 2 every array reduction is the mask x & 1: bit-identical to
+    Python's c % 2 for negative ints, the int64 extremes, bool, int8 and
+    uint8 arrays, and ints past int64."""
+    want = [int(c) % 2 for c in coeffs]
+    got = Series(2, len(want) + 1, coeffs).coeffs
+    assert got.dtype == np.int64
+    assert got.tolist() == want + [0, 0]
+
+
+def test_mask_is_the_remainder_on_int64():
+    x = np.array([I64.min, I64.min + 1, -3, -2, -1, 0, 1, 2, 3, I64.max - 1, I64.max])
+    assert np.array_equal(_red(x, 2), x % 2)
+    assert np.array_equal(_red(x[None], 2), x[None] % 2)
+    assert np.array_equal(_red(x, 3), x % 3)
+
+
+def test_mask_at_p2_is_the_remainder_in_ring_operations():
+    """+, -, unary -, an int added or subtracted (negative, and past int64)
+    and * int at p = 2, against the same operations on Python ints mod 2;
+    each Series operand is all ones somewhere, so an unreduced sum shows."""
+    rng = random.Random(109)
+    n = 40
+    a = Series(2, n, [1] * 10 + [rng.randrange(2) for _ in range(n - 9)])
+    b = Series(2, n, [1] * 10 + [rng.randrange(2) for _ in range(n - 9)])
+    x, y = a.coeffs.tolist(), b.coeffs.tolist()
+    assert (a + b).coeffs.tolist() == [(i + j) % 2 for i, j in zip(x, y)]
+    assert (a - b).coeffs.tolist() == [(i - j) % 2 for i, j in zip(x, y)]
+    assert (b - a).coeffs.tolist() == [(j - i) % 2 for i, j in zip(x, y)]
+    assert (-a).coeffs.tolist() == [-i % 2 for i in x]
+    zero = Series.zero(2, n)
+    assert (zero - a).coeffs.tolist() == [-i % 2 for i in x]
+    for k in (-1, -3, -(2 ** 63), -(2 ** 70) - 1, 2 ** 64 + 1, 5):
+        assert (a + k).coeffs.tolist() == [(x[0] + k) % 2] + x[1:], k
+        assert (a - k).coeffs.tolist() == [(x[0] - k) % 2] + x[1:], k
+        assert (k - a).coeffs.tolist() == [(k - x[0]) % 2] + [-i % 2 for i in x[1:]], k
+        assert (a * k).coeffs.tolist() == [i * k % 2 for i in x], k
+        assert (k * a).coeffs.tolist() == [i * k % 2 for i in x], k
+    for c in (a + b, a - b, -a, a * 3, a + (-1)):
+        assert c.coeffs.dtype == np.int64
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_mask_in_the_convolve_branch(p):
+    """_conv's np.convolve branch (operands shorter than _KRONECKER) reduces
+    its sums by the mask at p = 2, exactly as Python's % p: all-(p - 1)
+    operands make sums of up to min(la, lb)*(p - 1)^2."""
+    rng = random.Random(110 + p)
+    for la, lb in ((1, 1), (7, 7), (_KRONECKER - 1, _KRONECKER - 1), (3, 200), (200, 3)):
+        for a, b in ((np.full(la, p - 1), np.full(lb, p - 1)),
+                     (np.array([rng.randrange(p) for _ in range(la)]),
+                      np.array([rng.randrange(p) for _ in range(lb)]))):
+            n1 = la + lb - 1
+            full = np.convolve(a, b)
+            got = _conv(a, b, p, n1)
+            assert got.dtype == np.int64
+            assert got.tolist() == [int(c) % p for c in full], (p, la, lb)
+            assert _conv(a, b, p, 1).tolist() == [int(full[0]) % p]
 
 
 @pytest.mark.parametrize("p", [2, 3, 257])
