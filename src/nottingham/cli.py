@@ -16,7 +16,8 @@ import sys
 from .errors import NottinghamError
 from .field import PRIME_CAP
 from .group import INFINITE_DEPTH, GroupElement, klopsch_rep, order_mod_truncation
-from .order4 import run_checks, sigma_algebraic, sigma_bundle, sigma_closed, sigma_relation
+from .order4 import (_first_difference, run_checks, sigma_algebraic, sigma_bundle, sigma_closed,
+                     sigma_relation)
 from .series import MAX_TRUNC, Series, _number
 
 _SIGMA_ROUTES = {
@@ -52,7 +53,7 @@ def _cmd_sigma(ns):
     elem = routes[0][1]
     for name, other in routes[1:]:
         if other != elem:
-            e = (other.series - elem.series).valuation()
+            e = _first_difference(other.series, elem.series)
             print(f"route disagreement: closed vs {name} at exponent {e}", file=sys.stderr)
             return 1
     return elem

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NotCoprime, NotNormalized, ZeroParameter
 from .field import _echo, _is_int, check_prime
-from .series import Series, _check_trunc, _ladder, _substitute
+from .series import Series, _check_trunc, _ladder, _period, _substitute
 
 INFINITE_DEPTH = math.inf
 
@@ -56,8 +56,7 @@ class GroupElement:
             return NotImplemented
         if k < 0:
             raise ValueError("negative powers: use inverse() first")
-        if k.bit_length() > (self.trunc - 1) * (self.p.bit_length() - 1):    # k may reach p^(N-1)
-            k %= self.p ** (self.trunc - 1)     # Lagrange: the group mod t^(N+1) has p^(N-1) elements
+        k %= _period(self.p, self.trunc + 1)    # f^p is >= p times as deep as f, so f^(p^J) = t
         if k == 0:
             return GroupElement.identity(self.p, self.trunc)
         return _ladder(self, k, GroupElement.__mul__)

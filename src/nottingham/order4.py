@@ -141,6 +141,8 @@ class SigmaBundle:
     def with_candidate(self, candidate):
         """Same bundle with the closed-form slot replaced by a candidate
         element; used to run the checks against externally supplied series."""
+        if not isinstance(candidate, GroupElement):
+            raise TypeError(f"expected a GroupElement, got {type(candidate).__name__}")
         return replace(self, sigma_closed=candidate)
 
 

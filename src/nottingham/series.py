@@ -254,6 +254,14 @@ def _ladder(x, k, mul):
     return out
 
 
+def _period(p, n1):
+    """The least p^J >= n1: mod t^n1, u^(p^J) = 1 if u(0) = 1, and f^(p^J) = t in the group."""
+    q = 1
+    while q < n1:
+        q *= p
+    return q
+
+
 def _pow(a, k, p):
     """a^k mod t^n1, maybe a itself, so read-only.  For k >= n1, a^k = 0 if a(0) = 0,
     else k counts mod (p-1)*p^J, p^J >= n1: c^(p-1) = 1, u^(p^J) = u(t^(p^J)) = 1."""
@@ -261,10 +269,7 @@ def _pow(a, k, p):
     if k >= n1:
         if not a[0]:
             return _zeros(n1)
-        q = 1
-        while q < n1:
-            q *= p
-        k %= (p - 1) * q
+        k %= (p - 1) * _period(p, n1)
     if k == 0:
         return np.eye(1, n1, dtype=_DT)[0]
     q = 1
@@ -460,6 +465,8 @@ class Series:
     # basic queries
 
     def _check_context(self, other):
+        if not isinstance(other, Series):
+            raise TypeError(f"expected a Series, got {type(other).__name__}")
         if self.p != other.p or self.trunc != other.trunc:
             raise MismatchedContext(
                 f"(p={self.p}, N={self.trunc}) vs (p={other.p}, N={other.trunc})")

@@ -179,7 +179,7 @@ def test_power_rejects_negative_exponent(tmp_path):
 
 def test_power_with_a_4000_digit_exponent(tmp_path):
     # "1" * 4000 is 3 mod 4, so the power is sigma's inverse; k is reduced
-    # mod 2^(N-1) before any composition
+    # mod the period 2^7 >= N + 1 before any composition
     path = write(tmp_path / "sigma.txt", run_cli(["sigma", "--trunc", "64"])[1])
     code, out, err = run_cli(["power", "--in", path, "-k", "1" * 4000])
     assert (code, err) == (0, "")

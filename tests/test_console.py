@@ -41,9 +41,9 @@ def test_verify_prints_six_pass_lines(n):
 
 
 def test_sigma_inverse_is_its_third_seventh_and_long_power(tmp_path):
-    # sigma has order 4: 7 = 3 mod 4, and 4,000 ones = 11 = 3 mod 4, so the
-    # long exponent is reduced mod 2^(N-1) before any composition
-    s = saved(tmp_path / "s", "sigma", "--trunc", "200")
+    # sigma has order 4: 7 = 3 mod 4, and 4,000 ones = 11 = 3 mod 4; the long
+    # exponent is reduced mod the period 2^13 >= N + 1 before any composition
+    s = saved(tmp_path / "s", "sigma", "--trunc", "4096")
     inverse = console("inverse", "--in", s)[0]
     for k in ("3", "7", "1" * 4000):
         assert console("power", "--in", s, "-k", k)[0] == inverse, k[:8]

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -15,7 +16,7 @@ from nottingham import (
     order_mod_truncation,
     sigma_closed,
 )
-from nottingham.series import Series
+from nottingham.series import Series, _period
 
 from support import random_group_element
 
@@ -75,14 +76,9 @@ def test_power_basics():
         f ** -1
 
 
-@pytest.mark.parametrize("k, composes", [(0, 0), (1, 0), (2, 1), (3, 2), (8, 3)])
-def test_power_never_composes_with_the_identity(monkeypatch, k, composes):
-    # square-and-multiply from the lowest set bit: popcount(k) - 1 products
-    # and floor(log2 k) squarings, and none at all for k in {0, 1}
-    f = random_group_element(random.Random(207), 3, 20)
-    expected = identity(3, 20)
-    for _ in range(k):
-        expected = expected * f
+@pytest.fixture
+def compositions(monkeypatch):
+    """A list that gains one entry per Series.compose call."""
     calls = []
     compose = Series.compose
 
@@ -91,25 +87,59 @@ def test_power_never_composes_with_the_identity(monkeypatch, k, composes):
         return compose(self, other)
 
     monkeypatch.setattr(Series, "compose", counting)
+    return calls
+
+
+@pytest.mark.parametrize("k, composes", [(0, 0), (1, 0), (2, 1), (3, 2), (8, 3)])
+def test_power_never_composes_with_the_identity(compositions, k, composes):
+    # square-and-multiply from the lowest set bit: popcount(k) - 1 products
+    # and floor(log2 k) squarings, and none at all for k in {0, 1}
+    f = random_group_element(random.Random(207), 3, 20)
+    expected = identity(3, 20)
+    for _ in range(k):
+        expected = expected * f
+    compositions.clear()
     assert f ** k == expected
-    assert len(calls) == composes
+    assert len(compositions) == composes
+
+
+def test_power_reduces_a_long_exponent_before_composing(compositions):
+    # 3^38 + 5 = 5 mod 3^4, the period at N = 40: f^2, f^4 and f * f^4
+    f = random_group_element(random.Random(209), 3, 40)
+    expected = f * f * f * f * f
+    compositions.clear()
+    assert f ** (3 ** 38 + 5) == expected
+    assert len(compositions) == 3
+
+
+@pytest.mark.parametrize("p, max_n", [(2, 9), (3, 6), (5, 4), (7, 3)])
+def test_every_element_has_order_dividing_the_period(p, max_n):
+    # f^(p^J) by J p-th powers, each p - 1 products, never by **, which
+    # would reduce the exponent by the very period under test
+    for n in range(1, max_n + 1):
+        q = _period(p, n + 1)
+        for tail in itertools.product(range(p), repeat=n - 1):
+            f = GroupElement(Series(p, n, (0, 1) + tail))
+            g, k = f, 1
+            while k < q:
+                h = g
+                for _ in range(p - 1):
+                    h = h * g
+                g, k = h, k * p
+            assert g == identity(p, n), (n, tail)
 
 
 @pytest.mark.parametrize("p, n", [(2, 1), (2, 2), (2, 12), (3, 9), (7, 5)])
 def test_power_reduces_k_mod_the_group_order(p, n):
-    # the group mod t^(N+1) has p^(N-1) elements, so f^(p^(N-1)) = id
+    # against f^j built by products, so that ** reduces on one side only
     f = random_group_element(random.Random(208), p, n, depth=1)
-    g = f
-    for _ in range(n - 1):      # g = f^(p^(N-1)) by p-th powers, p - 1 products each
-        h = g
-        for _ in range(p - 1):
-            h = h * g
-        g = h
-    assert g == identity(p, n)
-    order = p ** (n - 1)
-    for j in (0, 1, 2, 5, 7, order // p + 3, order - 1):
-        assert f ** (order + j) == f ** j
-        assert f ** (9 * order + j) == f ** j
+    q = _period(p, n + 1)
+    powers = [identity(p, n)]
+    for _ in range(q - 1):
+        powers.append(powers[-1] * f)
+    for j in (0, 1, 2, 5, 7, q // p + 3, q - 1):
+        assert f ** (q + j) == powers[j % q]
+        assert f ** (9 * q + j) == powers[j % q]
 
 
 def test_sigma_square_and_fourth_power():

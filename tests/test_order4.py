@@ -280,6 +280,8 @@ def test_first_difference_checks_the_context():
     for other in (sigma_closed(63), sigma_closed(65)):
         with pytest.raises(MismatchedContext):
             run_checks(b.with_candidate(other))
+    with pytest.raises(TypeError, match="^expected a GroupElement, got Series$"):
+        b.with_candidate(sigma_closed(64).series)
 
 
 def test_division_by_one_plus_t_makes_no_product(monkeypatch):

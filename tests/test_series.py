@@ -389,6 +389,15 @@ def test_compose_context_mismatch():
         Series.gen(2, 6).compose(Series.gen(2, 7))
 
 
+def test_compose_rejects_a_non_series_argument():
+    # the TypeError that GroupElement(...) raises for a non-series
+    f = Series(3, 4, [0, 1])
+    with pytest.raises(TypeError, match="^expected a Series, got GroupElement$"):
+        f.compose(identity(3, 4))
+    with pytest.raises(TypeError, match="^expected a Series, got int$"):
+        f(3)
+
+
 def test_compose_block_matches_horner():
     rng = random.Random(105)
     for p in (2, 3, 5):
