@@ -67,10 +67,8 @@ class GroupElement:
 
     def depth(self):
         """Largest d with f(t) = t mod t^(d+1); INFINITE_DEPTH for the identity."""
-        v = (self.series - Series.gen(self.p, self.trunc)).valuation()
-        if v > self.trunc:
-            return INFINITE_DEPTH
-        return v - 1
+        nz = np.flatnonzero(self.series.coeffs[2:])     # f = t + O(t^2) by construction
+        return int(nz[0]) + 1 if nz.size else INFINITE_DEPTH
 
     def is_identity(self):
         return self.depth() is INFINITE_DEPTH
@@ -101,23 +99,34 @@ def order_mod_truncation(f, cap=None):
     p-power order.  The value is the order in the finite quotient group at
     precision N; the true order in the full group is at least this value
     and can be strictly larger (it is monotone as N grows).
+
+    The loop is decided by the depth d of g = f^k, from two facts: g^p is
+    at least p*d deep (Camina, The Nottingham group, 2000), and reduction
+    mod t^(m+1) is a homomorphism, so g^p mod t^(m+1) = (g mod t^(m+1))^p.
+    As every element at least N deep is t, g^p = t unseen if p*d >= N.  If
+    p^2*d >= N > 2*p*d, g^p is probed at precision 2*p*d: a probe that is
+    not t shows g^p != t while g^(p^2) = t, so the order is k*p^2.
+    Otherwise g^p is taken in full.
     """
     if not isinstance(f, GroupElement):
         raise TypeError(f"expected a GroupElement, got {type(f).__name__}")
+    p, n = f.p, f.trunc
     if cap is None:
-        cap = f.p ** 6
+        cap = p ** 6
     if not _is_int(cap) or cap < 1:
         raise ValueError(f"cap must be a positive int, got {_echo(cap)}")
-    k = 1
-    g = f
-    ident = GroupElement.identity(f.p, f.trunc)
-    while k <= cap:
-        if g == ident:
+    k, g = 1, f
+    while True:
+        d = g.depth()
+        if d > n:
             return k
-        k *= f.p
-        if k <= cap:
-            g = g ** f.p
-    return None
+        if k * p > cap:
+            return None
+        if p * d >= n:
+            return k * p
+        if p * p * d >= n > 2 * p * d and not (g.truncate(2 * p * d) ** p).is_identity():
+            return k * p * p if k * p * p <= cap else None
+        k, g = k * p, g ** p
 
 
 def klopsch_rep(p, m, a, trunc):

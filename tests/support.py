@@ -11,7 +11,9 @@ multiply with convolve_product, one int64 convolution, which is the
 library's product kernel without Kronecker substitution, so they do not
 run the kernel they check.  The spread sum for Artin-Schreier roots, the
 loop the library ran before it solved s = f + s(t^2) by doubling, makes
-no product at all, so it stays fast at large N.
+no product at all, so it stays fast at large N.  naive_order takes every
+p-th power at full precision, where the library decides the last ones
+from depth.
 """
 
 import contextlib
@@ -79,6 +81,20 @@ def naive_product(f, g):
             for j in range(n + 1 - i):
                 out[i + j] = (out[i + j] + fi * g[j]) % p
     return Series(p, n, out)
+
+
+def naive_order(f, cap):
+    """Least p-power k <= cap with f^k = id, or None, by p-th powers taken
+    one after another at full precision; the truncated-order oracle."""
+    k, g = 1, f
+    ident = GroupElement.identity(f.p, f.trunc)
+    while k <= cap:
+        if g == ident:
+            return k
+        k *= f.p
+        if k <= cap:
+            g = g ** f.p
+    return None
 
 
 def convolve_product(f, g):

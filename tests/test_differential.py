@@ -9,7 +9,8 @@ packed product (at p = 2 and long, on rows kept bit-packed from the leaves
 to the root), p-th powers run as coefficient spreads and Artin-Schreier
 roots as an in-place doubling, powers above N reduce their exponent, m-th roots and reversion
 (above the elimination leaf) run Newton iteration, klopsch_rep works in
-x = t^m, and division by 1 + t over F_2 is a prefix XOR; each is checked
+x = t^m, division by 1 + t over F_2 is a prefix XOR, and truncated orders
+skip or probe the last p-th powers by depth; each is checked
 for bit-equality against an algorithm that does none of that.
 """
 
@@ -19,8 +20,8 @@ import numpy as np
 import pytest
 
 from nottingham import BadRoot, MismatchedContext, NonzeroConstant, WrongCharacteristic, series
-from nottingham.group import GroupElement, klopsch_rep
-from nottingham.order4 import _r
+from nottingham.group import GroupElement, klopsch_rep, order_mod_truncation
+from nottingham.order4 import _r, sigma_closed
 from nottingham.series import (
     _CLMUL, _CLMUL_ROWS, _KRONECKER, _LEAF, _SPREAD, _TWIG, Series, _clmul, _compose, _compose_all,
     _conv, _eliminate, _gather, _mul, _mul_rows, _substitute)
@@ -30,6 +31,7 @@ from support import (
     convolve_product,
     eliminate_reversion,
     horner_compose,
+    naive_order,
     naive_power,
     naive_product,
     random_group_element,
@@ -796,3 +798,33 @@ def test_klopsch_rep_matches_unspread_root():
                     unit = Series.from_terms(p, n, {0: 1, m: -a}).reciprocal().nth_root(m)
                     expected = GroupElement(Series.gen(p, n) * unit)
                     assert klopsch_rep(p, m, a, n) == expected, (p, m, a, n)
+
+
+def sparse_element(rng, p, n):
+    """t plus a few random terms of degree 2..n."""
+    terms = {e: rng.randrange(1, p) for e in rng.sample(range(2, n + 1), min(3, n - 1))}
+    return GroupElement(Series.from_terms(p, n, {1: 1, **terms}))
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_order_matches_naive(p):
+    rng = random.Random(1200 + p)
+    for n in (1, 2) + tuple(rng.randrange(3, 401) for _ in range(4)):
+        elements = [random_group_element(rng, p, n), sparse_element(rng, p, n)]
+        elements += [random_group_element(rng, p, n, depth=d) for d in (1, rng.randrange(1, n + 1))]
+        for f in elements:
+            for cap in (1, p, p ** 3, p ** 6, rng.randrange(2, 2 * p ** 3)):
+                assert order_mod_truncation(f, cap) == naive_order(f, cap), (n, cap)
+
+
+def test_order_of_klopsch_reps_and_sigma_matches_naive():
+    rng = random.Random(1210)
+    for _ in range(12):
+        p = rng.choice((2, 3, 5, 7))
+        m = rng.choice([m for m in range(1, 12) if m % p])
+        f = klopsch_rep(p, m, rng.randrange(1, p), rng.randrange(m + 1, 300))
+        assert order_mod_truncation(f, p) == naive_order(f, p) == p
+    for n in (2, 3, 4, 5, 8, 13, 64, 300):
+        f = sigma_closed(n)
+        for cap in (1, 2, 3, 4, 16):
+            assert order_mod_truncation(f, cap) == naive_order(f, cap), (n, cap)

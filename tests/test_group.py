@@ -18,7 +18,7 @@ from nottingham import (
 )
 from nottingham.series import Series, _period
 
-from support import random_group_element
+from support import naive_order, random_group_element
 
 
 # ----------------------------------------------------------------------
@@ -78,12 +78,12 @@ def test_power_basics():
 
 @pytest.fixture
 def compositions(monkeypatch):
-    """A list that gains one entry per Series.compose call."""
+    """A list that gains one entry per Series.compose call: its precision."""
     calls = []
     compose = Series.compose
 
     def counting(self, other):
-        calls.append(1)
+        calls.append(self.trunc)
         return compose(self, other)
 
     monkeypatch.setattr(Series, "compose", counting)
@@ -127,6 +127,28 @@ def test_every_element_has_order_dividing_the_period(p, max_n):
                     h = h * g
                 g, k = h, k * p
             assert g == identity(p, n), (n, tail)
+
+
+@pytest.mark.parametrize("p, max_n", [(2, 9), (3, 6), (5, 4), (7, 3)])
+def test_order_matches_naive_on_every_small_element(p, max_n):
+    # every cap p^0 .. p^(J+1), and caps between powers of p
+    for n in range(1, max_n + 1):
+        q = _period(p, n + 1)
+        caps = [1]
+        while caps[-1] <= q:
+            caps.append(caps[-1] * p)
+        caps += [p + 1, q - 1, 2 * q - 1]
+        for tail in itertools.product(range(p), repeat=n - 1):
+            f = GroupElement(Series(p, n, (0, 1) + tail))
+            for cap in caps:
+                assert order_mod_truncation(f, cap) == naive_order(f, cap), (n, tail, cap)
+
+
+@pytest.mark.parametrize("p", [2, 3, 257])
+def test_period_at_its_edge(p):
+    for j in range(5):
+        assert _period(p, p ** j) == p ** j
+        assert _period(p, p ** j + 1) == p ** (j + 1)
 
 
 @pytest.mark.parametrize("p, n", [(2, 1), (2, 2), (2, 12), (3, 9), (7, 5)])
@@ -174,6 +196,9 @@ def test_depth_examples():
     assert sigma_closed(64).depth() == 1
     assert (sigma_closed(64) ** 2).depth() == 3
     assert identity(2, 64).depth() is INFINITE_DEPTH
+    assert identity(5, 1).depth() is INFINITE_DEPTH
+    for p, n in [(2, 2), (3, 7), (257, 40)]:
+        assert GroupElement(Series.from_terms(p, n, {1: 1, n: 1})).depth() == n - 1
 
 
 def test_depth_ultrametric():
@@ -221,11 +246,50 @@ def test_order_none_when_cap_too_small():
 
 
 def test_order_found_when_equal_to_cap():
-    # The last p-th power before the cap must still be taken and checked.
+    # The last p-th power before the cap must still be taken, or decided by depth.
     assert order_mod_truncation(sigma_closed(64), 4) == 4
     f16 = GroupElement(Series.from_terms(2, 16, {1: 1, 2: 1}))
     assert order_mod_truncation(f16, 8) == 8
     assert order_mod_truncation(klopsch_rep(3, 1, 1, 12), 3) == 3
+
+
+@pytest.mark.parametrize("n, terms, order, composes", [
+    (8, {2: 1}, 9, [6, 6]),                     # the probe f^3 mod t^7 has depth 4
+    (8, {2: 1, 3: 1, 6: 1}, 9, [6, 6, 8, 8]),   # f^3 has depth 7: the probe is t
+    (8, {2: 1, 3: 1}, 3, [6, 6, 8, 8]),         # f^3 = t
+    (9, {2: 1}, 9, [6, 6]),                     # p^2 * d = N: f^9 = t still
+    (6, {2: 1, 3: 1}, 3, [6, 6]),               # 2 * p * d = N: no probe
+    (6, {3: 1}, 3, []),                         # p * d = N: f^3 = t, not computed
+])
+def test_order_decides_the_last_cubes_by_depth(compositions, n, terms, order, composes):
+    # p = 3: each probe is f^3 at precision 2 * p * d = 6, for depth d = 1
+    f = GroupElement(Series.from_terms(3, n, {1: 1, **terms}))
+    assert order_mod_truncation(f, 27) == naive_order(f, 27) == order
+    compositions.clear()
+    order_mod_truncation(f, 27)
+    assert compositions == composes
+    assert order_mod_truncation(f, 3) == naive_order(f, 3)
+
+
+@pytest.mark.parametrize("p, n, e, order", [(2, 9, 3, 8), (3, 28, 4, 27)])
+def test_order_when_the_depth_bound_is_attained(p, n, e, order):
+    # f = t + t^e has depth d = e - 1, divisible by p, and f^p and f^(p^2)
+    # are exactly p*d and p^2*d deep: at N = p^2*d + 1, f^(p^2) is not t
+    f = GroupElement(Series.from_terms(p, n, {1: 1, e: 1}))
+    d = e - 1
+    assert [(f ** k).depth() for k in (1, p, p * p)] == [d, p * d, n - 1]
+    assert order_mod_truncation(f, 64) == naive_order(f, 64) == order
+
+
+def test_order_takes_one_full_power_and_one_probe(compositions):
+    # depth 1 at p = 7, N = 384: f^7 in full (4 compositions), depth 8; then
+    # 7^2 * 8 > 384 > 2 * 7 * 8, so (f^7)^7 is probed mod t^113, depth 57 < 112,
+    # and f^343 = id is never computed
+    f = random_group_element(random.Random(210), 7, 384, depth=1)
+    assert (f ** 7).depth() == 8
+    compositions.clear()
+    assert order_mod_truncation(f, 343) == 343
+    assert compositions == [384] * 4 + [112] * 4
 
 
 def test_order_cap_validation():
