@@ -15,7 +15,7 @@ import sys
 
 from .errors import NottinghamError
 from .field import PRIME_CAP
-from .group import INFINITE_DEPTH, GroupElement, klopsch_rep, order_mod_truncation
+from .group import DEFAULT_CAP_EXP, INFINITE_DEPTH, GroupElement, klopsch_rep, order_mod_truncation
 from .order4 import (_first_difference, run_checks, sigma_algebraic, sigma_bundle, sigma_closed,
                      sigma_relation)
 from .series import MAX_TRUNC, Series, _number
@@ -82,9 +82,8 @@ def _cmd_order(ns):
     elem = _load_group_element(ns.infile)
     order = order_mod_truncation(elem, ns.cap)
     if order is None:
-        cap = ns.cap if ns.cap is not None else elem.p ** 6
-        print(f"no p-power order <= {cap} at precision N={elem.trunc}",
-              file=sys.stderr)
+        cap = ns.cap if ns.cap is not None else elem.p ** DEFAULT_CAP_EXP
+        print(f"no p-power order <= {cap} at precision N={elem.trunc}", file=sys.stderr)
         return 1
     print(order)
     return 0
@@ -117,7 +116,7 @@ _COMMANDS = {
     "power": ("k-th compositional power", [_IN, ("-k", dict(required=True))],
               lambda ns: _load_group_element(ns.infile) ** ns.k),
     "order": ("least p-power k <= cap with f^k = id at this precision",
-              [_IN, ("--cap", dict(default=None, help="default p^6"))], _cmd_order),
+              [_IN, ("--cap", dict(default=None, help=f"default p^{DEFAULT_CAP_EXP}"))], _cmd_order),
     "depth": ("congruence-filtration depth", [_IN], _cmd_depth),
     "klopsch": ("order-p representative t*(1 - a*t^m)^(-1/m)",
                 [("-p", dict(required=True)), ("-m", dict(required=True)),

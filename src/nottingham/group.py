@@ -19,6 +19,7 @@ from .field import _echo, _is_int, check_prime
 from .series import Series, _check_trunc, _ladder, _period, _substitute
 
 INFINITE_DEPTH = math.inf
+DEFAULT_CAP_EXP = 6     # order_mod_truncation's cap is p^DEFAULT_CAP_EXP unless given
 
 
 class GroupElement:
@@ -111,8 +112,7 @@ def order_mod_truncation(f, cap=None):
     if not isinstance(f, GroupElement):
         raise TypeError(f"expected a GroupElement, got {type(f).__name__}")
     p, n = f.p, f.trunc
-    if cap is None:
-        cap = p ** 6
+    cap = p ** DEFAULT_CAP_EXP if cap is None else cap
     if not _is_int(cap) or cap < 1:
         raise ValueError(f"cap must be a positive int, got {_echo(cap)}")
     k, g = 1, f

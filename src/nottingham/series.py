@@ -8,26 +8,26 @@ precisions is an error rather than an implicit coercion, and truncating is
 the only way to lower precision.
 
 All arithmetic is exact integer arithmetic; nothing here touches floating
-point.  A product is one _conv: an int64 convolution, or Kronecker
-substitution (one big-int product of packed coefficients) if long, with one
-bit per coefficient at p = 2 and byte slots otherwise; longer p = 2 products
-take a carry-less byte-table kernel (_table, then _gather).  Over F_p a
-p-th power is a coefficient spread, f(t)^p = f(t^p), which p-th powers (and
-p = 2 squares), Artin-Schreier roots and composition use.  Composition is
-Bernstein's Frobenius split, O(p*M(N)*log_p N) for M(N) one product's cost,
-one tree level at a time and for a stack of outer series at once: a block
-ladder sized by its leaf rows evaluates all leaves (at most _TWIG
-coefficients) as rows of a matrix, a level's rows multiply by g in one
-_conv.  A long p = 2 walk keeps its rows bit-packed from the leaves to the
-root and gathers every level from one byte table of g.
-Reciprocals, m-th roots and reversion are Newton doublings, reversion down
-to elimination at _LEAF coefficients.
+point.  A product is one _conv, on the path _route names from the shorter
+operand's length: an int64 convolution, Kronecker substitution (one big-int
+product of packed coefficients, a bit per coefficient at p = 2, else byte
+slots) or, at p = 2, a carry-less byte-table kernel (_table, then _gather).
+Over F_p a p-th power is a coefficient spread, f(t)^p = f(t^p), which p-th
+powers (and p = 2 squares), Artin-Schreier roots and composition use.
+Composition is Bernstein's Frobenius split, O(p*M(N)*log_p N) for M(N) one
+product's cost, one tree level at a time and for a stack of outer series at
+once: a block ladder sized by its leaf rows evaluates all leaves (at most
+_TWIG coefficients) as rows of a matrix, a level's rows multiply by g in one
+_conv, on bit-packed rows and one byte table of g from the leaves to the
+root if _route gives the top level the kernel.  Reciprocals, m-th roots and
+reversion (down to elimination at _LEAF coefficients) are Newton doublings.
 
 Values are immutable after construction and every operation is a pure
 function of its inputs, so Series objects are safe to share across threads.
 """
 
 import math
+import sys
 from operator import index
 
 import numpy as np
@@ -54,15 +54,10 @@ _DT = np.int64
 MAX_TRUNC = 2 ** 20
 _TWIG = 16      # series this short are composition leaves, evaluated by the block ladder
 _LEAF = 32      # series this short revert by elimination
-# Shorter-operand length where Kronecker (16-bit slots, or bit slots at p = 2)
-# overtakes np.convolve (2-vCPU Xeon); wider byte slots raise it by width cubed.
+# _route's crossovers (2-vCPU Xeon): Kronecker overtakes np.convolve from _KRONECKER,
+# the p = 2 byte-table kernel bit slots from _CLMUL; it gathers ~_BLOCK bytes at a time.
 _KRONECKER = 80
-# At p = 2 the byte-table kernel overtakes bit slots from a shorter operand of
-# _CLMUL coefficients, and a composition's walk on packed rows overtakes bit
-# slots from a top level of _CLMUL coefficients in rows of _CLMUL_ROWS; the
-# kernel gathers about _BLOCK bytes at a time.
 _CLMUL = 640
-_CLMUL_ROWS = 128
 _BLOCK = 1 << 18
 # Byte v with its bit i moved to bit 2i: a bit-packed a(t^2), in little-endian pairs.
 _SPREAD = np.array([sum((v >> i & 1) << 2 * i for i in range(8)) for v in range(256)], dtype="<u2")
@@ -83,7 +78,7 @@ def _number(tok, what, cap=None):
         if digits.isascii() and digits.isdigit() and (cap is None or int(tok) <= cap):
             return int(tok)
     except ValueError:      # more digits than int() converts
-        pass
+        raise ValueError(f"bad {what} {_echo(tok)}: over {sys.get_int_max_str_digits()} digits") from None
     raise ValueError(f"bad {what} {_echo(tok)}: need ASCII digits"
                      + ("" if cap is None else f" for an integer in [0, {cap}]"))
 
@@ -165,45 +160,52 @@ def _clmul(rows, b, n1):
     return np.unpackbits(out, axis=1, count=n1, bitorder="little").astype(_DT)
 
 
+def _route(p, n, rows=False):
+    """_conv's path for a shorter operand of n coefficients: 0 np.convolve, -1
+    the byte-table kernel _clmul (p = 2 from _CLMUL, never rows), else
+    Kronecker in slots of that many bits holding n*(p-1)^2 (n.bit_length() at
+    p = 2, else w = 16, 32, 64): rows always, else from _KRONECKER*(w/16)^3."""
+    if p == 2:
+        return -1 if n >= _CLMUL and not rows else n.bit_length() if rows or n >= _KRONECKER else 0
+    bound = n * (p - 1) ** 2
+    w = 16 if bound < 1 << 16 else 32 if bound < 1 << 32 else 64
+    return w if rows or n >= _KRONECKER * (w // 16) ** 3 else 0
+
+
 def _conv(a, b, p, n1):
     """The first n1 < len(a) + len(b) coefficients of a*b mod p, for arrays of
-    canonical residues, or of each row times b for an (r, m) array a.  At
-    p = 2, _clmul from _CLMUL coefficients (both operands, each up to its last
-    nonzero coefficient).  Otherwise np.convolve, or Kronecker if long or
-    rows (m + len(b) - 1 slots apart), in slots that hold n*(p-1)^2, n the
-    shorter length: at p = 2 one bit per coefficient in n.bit_length() bits,
-    read mod 2 at bit 0; else 16, 32 or 64 bits."""
+    canonical residues, or of each row times b for an (r, m) array a, by the
+    path _route names, the kernel's only if operands cut at their last 1s
+    still take it: high zeros shorten bit slots but not the kernel's work."""
     rows = a.ndim == 2
-    if p == 2 and not rows and len(a) >= _CLMUL <= len(b) and (
-            # high zero coefficients make bit slots shorter, not the kernel
-            a[_CLMUL - 1:].any() and b[_CLMUL - 1:].any()):
-        return _clmul(a[None], b, n1)[0]
-    if rows or len(a) >= _KRONECKER <= len(b):     # wider slots only raise the crossover
-        n = min(a.shape[-1], len(b))
-        if p != 2:
-            bound = n * (p - 1) ** 2
-            w = 2 if bound < 1 << 16 else 4 if bound < 1 << 32 else 8     # slot bytes
-        if p == 2 or rows or n >= _KRONECKER * (w // 2) ** 3:
-            dt = np.uint8 if p == 2 else f"<u{w}"
-            if rows:        # row i from slot i*(m + len(b) - 1), past its product's end
-                r, m = a.shape
-                x = np.zeros((r, m + len(b) - 1), dt)
-                x[:, :m] = a
-                a = x.ravel()
-            count = len(a) if rows else n1
-            if p == 2:
-                s = n.bit_length()
-                x = _bits(a, s) * _bits(b, s)
-                c = np.frombuffer(x.to_bytes(((len(a) + len(b)) * s + 7) // 8, "little"), np.uint8)
-                c = np.unpackbits(c, count=count * s, bitorder="little")[::s]
-            else:
-                x = int.from_bytes(a.astype(dt, copy=False).tobytes(), "little")
-                x *= x if b is a else int.from_bytes(b.astype(dt).tobytes(), "little")
-                c = np.frombuffer(x.to_bytes((len(a) + len(b)) * w, "little"), dt, count=count)
-            if rows:
-                c = c.reshape(r, -1)[:, :n1]
-            return (c if p == 2 else c % p).astype(_DT)
-    return _red(np.convolve(a, b)[:n1], p)
+    if not rows and not len(a) >= _KRONECKER <= len(b):      # _route's 0, inline: most products are short
+        return _red(np.convolve(a, b)[:n1], p)
+    s = _route(p, min(a.shape[-1], len(b)), rows)
+    if s < 0:       # x[::-1].argmax() finds the last 1 of p = 2 residues, if any
+        last = [len(x) - 1 - int(x[::-1].argmax()) for x in (a, b)]
+        if a[last[0]] and b[last[1]] and _route(p, 1 + min(last)) < 0:
+            return _clmul(a[None], b, n1)[0]
+        s = _route(p, min(len(a), len(b)), True)      # a row product's bit slots
+    if not s:
+        return _red(np.convolve(a, b)[:n1], p)
+    dt = np.uint8 if p == 2 else f"<u{s // 8}"
+    if rows:        # row i from slot i*(m + len(b) - 1), past its product's end
+        r, m = a.shape
+        x = np.zeros((r, m + len(b) - 1), dt)
+        x[:, :m] = a
+        a = x.ravel()
+    count = len(a) if rows else n1
+    if p == 2:
+        x = _bits(a, s) * _bits(b, s)
+        c = np.frombuffer(x.to_bytes(((len(a) + len(b)) * s + 7) // 8, "little"), np.uint8)
+        c = np.unpackbits(c, count=count * s, bitorder="little")[::s]
+    else:
+        x = int.from_bytes(a.astype(dt, copy=False).tobytes(), "little")
+        x *= x if b is a else int.from_bytes(b.astype(dt).tobytes(), "little")
+        c = np.frombuffer(x.to_bytes((len(a) + len(b)) * s // 8, "little"), dt, count=count)
+    if rows:
+        c = c.reshape(r, -1)[:, :n1]
+    return (c if p == 2 else c % p).astype(_DT)
 
 
 def _mul(a, b, p):
@@ -304,12 +306,11 @@ def _compose(f, g, p):
     coefficients, or p^2 > L: the roots alone) are one matrix for the block
     ladder, blocks of m = min(L, isqrt(q*r*L)) coefficients against the rows
     g^0, ..., g^m (g^j one _conv from t^j on, as g(0) = 0), Horner in g^m
-    when m < L.  Each level up is p - 1 row products by g, child i into [::p].
-    At p = 2, once the top level's r*n1 reaches _CLMUL in rows of at least
-    _CLMUL_ROWS, the levels run on bit-packed rows: one _table of g for the
-    walk, a level of n coefficients spreads its children by _SPREAD and
-    _gathers the odd one by g in ceil(n/8) bytes.  A row's bits at or above n
-    are left as they fall, since every later level moves them only higher."""
+    when m < L.  Each level up is p - 1 row products by g, child i into [::p];
+    if _route gives the top level's r*n1 coefficients the kernel, the levels
+    run on bit-packed rows and one _table of g: a level of n coefficients
+    spreads its children by _SPREAD and _gathers the odd one in ceil(n/8)
+    bytes, leaving a row's bits at or above n, which later levels only raise."""
     r, *lens = f.shape          # lens: the lengths of each level's nodes, from the roots
     while lens[-1] > _TWIG and p * p <= lens[-1]:
         lens.append((lens[-1] - 1) // p + 1)
@@ -326,7 +327,7 @@ def _compose(f, g, p):
     acc = _red(leaves[:, -m:] @ pows[:m], p)
     for i in reversed(range(nb - 1)):
         acc = _red(_mul_rows(acc, pows[m], p) + leaves[:, i * m:(i + 1) * m] @ pows[:m], p)
-    if p == 2 and r * f.shape[1] >= _CLMUL and f.shape[1] >= _CLMUL_ROWS:
+    if _route(p, r * f.shape[1]) < 0:
         table = _table(g)
         acc = np.packbits(acc.astype(np.uint8), axis=1, bitorder="little")
         for n in reversed(lens):

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from nottingham import GroupElement, cli, identity, sigma_closed
@@ -240,8 +242,9 @@ def test_malformed_or_missing_files(tmp_path):
     "p=2 N=10\n1:1 2:1_1\n",
     f"p=2 N=10\n1:1 {'9' * 5000}:1\n",
     f"p=2 N=10\n1:1 2:{'7' * 5000}\n",
+    f"p=2 N=10\n1:1 2:{'1' * 4301}\n",
 ], ids=["plus-p", "underscore-N", "plus-term", "underscore-coefficient",
-        "huge-exponent", "huge-coefficient"])
+        "huge-exponent", "huge-coefficient", "coefficient-past-the-int-digit-limit"])
 def test_loose_or_huge_numbers_are_one_short_error(tmp_path, text):
     path = write(tmp_path / "f.txt", text)
     code, out, err = run_cli(["depth", "--in", path])
@@ -261,15 +264,27 @@ def test_loose_or_huge_numbers_are_one_short_error(tmp_path, text):
     ["order", "--in", "@f", "--cap", "1e3"],
     ["klopsch", "-p", "3", "-m", "1" * 3000, "-a", "1", "--trunc", "10"],
     ["klopsch", "-p", "3", "-m", "1" * 3001, "-a", "1", "--trunc", "10"],
+    ["power", "--in", "@f", "-k", "1" * 4301],
 ], ids=["underscore-trunc", "arabic-digit-trunc", "huge-trunc", "plus-trunc", "plus-p",
         "underscore-m", "float-a", "arabic-digit-k", "float-cap", "huge-m-divisible-by-p",
-        "huge-m-prime-to-p"])
+        "huge-m-prime-to-p", "k-past-the-int-digit-limit"])
 def test_loose_or_huge_flags_are_one_short_error(tmp_path, argv):
     # integer flags read the file grammar: ASCII digits, capped for N and p
     path = write(tmp_path / "sigma.txt", SIGMA62_TEXT)
     code, out, err = run_cli([path if a == "@f" else a for a in argv])
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1 and err.startswith("error:") and len(err) < 150
+
+
+def test_digits_past_the_int_limit_are_named(tmp_path):
+    """A token of ASCII digits that int() will not convert, past Python's
+    limit on digits, reports that limit, not "need ASCII digits"."""
+    sigma = write(tmp_path / "sigma.txt", SIGMA62_TEXT)
+    path = write(tmp_path / "f.txt", f"p=2 N=10\n1:1 2:{'1' * 4301}\n")
+    for argv in (["power", "--in", sigma, "-k", "1" * 4301], ["depth", "--in", path]):
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, "") and len(err.splitlines()) == 1 and len(err) < 150
+        assert f"over {sys.get_int_max_str_digits()} digits" in err and "ASCII" not in err, err
 
 
 # ----------------------------------------------------------------------

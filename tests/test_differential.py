@@ -23,8 +23,8 @@ from nottingham import BadRoot, MismatchedContext, NonzeroConstant, WrongCharact
 from nottingham.group import GroupElement, klopsch_rep, order_mod_truncation
 from nottingham.order4 import _r, sigma_closed
 from nottingham.series import (
-    _CLMUL, _CLMUL_ROWS, _KRONECKER, _LEAF, _SPREAD, _TWIG, Series, _clmul, _compose, _compose_all,
-    _conv, _eliminate, _gather, _mul, _mul_rows, _substitute)
+    _CLMUL, _KRONECKER, _LEAF, _SPREAD, _TWIG, Series, _bits, _clmul, _compose, _compose_all, _conv,
+    _eliminate, _gather, _mul, _mul_rows, _route, _substitute)
 
 from support import (
     coefficientwise_nth_root,
@@ -273,11 +273,11 @@ def test_conv_takes_the_byte_table_kernel_at_its_crossover():
 
 
 def test_mul_rows_at_the_walk_crossover_shapes():
-    """Row products of r*m = _CLMUL coefficients and rows of m = _CLMUL_ROWS,
-    where a composition's walk goes packed: each side of both edges, 1, 2
-    and 27 rows, one row with a valuation and one zero, and all ones."""
+    """Row products of r*m = _CLMUL coefficients, where a composition's walk
+    goes packed, and rows of m = 128: each side of both edges, 1, 2 and 27
+    rows, one row with a valuation and one zero, and all ones."""
     rng = np.random.default_rng(540)
-    m0, c = _CLMUL_ROWS, _CLMUL
+    m0, c = 128, _CLMUL
     shapes = [(r, m) for r in (1, 2, 27) for m in (m0 - 1, m0, m0 + 1)]
     shapes += [(r, c // r + d) for r in (2, 4) for d in (-1, 0, 1)]
     for r, m in shapes:
@@ -306,7 +306,7 @@ def test_conv_routes_to_the_byte_table_kernel(monkeypatch):
         _conv(a, b, 2, len(a))
         _conv(a, b, 3, len(a))
         assert len(calls) == want, (len(a), np.flatnonzero(a))
-    m0 = _CLMUL_ROWS
+    m0 = 128
     for r, m in ((-(-_CLMUL // m0), m0), (-(-_CLMUL // m0) + 1, m0 - 1),
                  (2, _CLMUL // 2), (2, _CLMUL // 2 - 1)):
         calls.clear()
@@ -314,6 +314,75 @@ def test_conv_routes_to_the_byte_table_kernel(monkeypatch):
         _mul_rows(rows, ones, 2)
         _mul_rows(rows, ones, 3)
         assert calls == [], (r, m)
+
+
+# _route at each of its edges -1, 0 and +1, for _KRONECKER = 80 and _CLMUL =
+# 640: (p, n) -> (path of a 1-D product, path of rows), 0 for np.convolve,
+# -1 for the byte-table kernel, else Kronecker slot bits.  The edges are
+# _KRONECKER, 640 = _KRONECKER * 2^3 for 32-bit slots at p = 257, _CLMUL,
+# and the slot switches at n*(p-1)^2 = 2^16 (p = 3) and 2^32 (p = 257).
+ROUTE_EDGES = {
+    (2, 79): (0, 7), (2, 80): (7, 7), (2, 81): (7, 7),
+    (3, 79): (0, 16), (3, 80): (16, 16), (3, 81): (16, 16),
+    (257, 79): (0, 32), (257, 80): (0, 32), (257, 81): (0, 32),
+    (2, 639): (10, 10), (2, 640): (-1, 10), (2, 641): (-1, 10),
+    (3, 639): (16, 16), (3, 640): (16, 16), (3, 641): (16, 16),
+    (257, 639): (0, 32), (257, 640): (32, 32), (257, 641): (32, 32),
+    (3, 16383): (16, 16), (3, 16384): (32, 32), (3, 16385): (32, 32),
+    (257, 65535): (32, 32), (257, 65536): (64, 64), (257, 65537): (64, 64),
+}
+
+
+def bit_slot_edges():
+    """p = 2 around each n = 2^k, where a slot gains a bit; 1-D products
+    take bit slots for 80 <= n < 640."""
+    for k in range(1, 21):
+        for n in (2 ** k - 1, 2 ** k, 2 ** k + 1):
+            width = k + (n >= 2 ** k)
+            yield (2, n), (0 if n < 80 else width if n < 640 else -1, width)
+
+
+ROUTE_EDGES.update(bit_slot_edges())
+
+
+def test_route_at_its_edges():
+    assert (_KRONECKER, _CLMUL) == (80, 640), "ROUTE_EDGES is written for these crossovers"
+    for (p, n), (flat, rows) in ROUTE_EDGES.items():
+        assert (_route(p, n), _route(p, n, True)) == (flat, rows), (p, n)
+
+
+def test_route_is_np_convolve_below_kronecker():
+    """_conv returns np.convolve inline for a 1-D product shorter than
+    _KRONECKER, without asking _route, which names it for every prime."""
+    for p in (p for p in range(2, 258) if all(p % d for d in range(2, p))):
+        assert [_route(p, n) for n in range(_KRONECKER)] == [0] * _KRONECKER, p
+
+
+def test_conv_runs_the_path_route_names(monkeypatch):
+    """At each edge of ROUTE_EDGES up to n = 16385, 1-D (n against n + 3,
+    both ways round) and as two rows against n, no entry zero, the first
+    kernel _conv calls is the one _route names: _clmul, np.convolve, _bits
+    with its slot bits at p = 2, or np.frombuffer with its slot dtype.  An
+    operand cut by high zeros below _CLMUL, to bit slots or below
+    _KRONECKER, keeps the bit slots of the uncut length."""
+    rng = np.random.default_rng(545)
+    ran = []
+    convolve, frombuffer = np.convolve, np.frombuffer
+    monkeypatch.setattr(series, "_clmul", lambda *args: ran.append(-1) or _clmul(*args))
+    monkeypatch.setattr(series, "_bits", lambda a, s: ran.append(s) or _bits(a, s))
+    monkeypatch.setattr(np, "convolve", lambda a, b: ran.append(0) or convolve(a, b))
+    monkeypatch.setattr(np, "frombuffer", lambda buf, dt, **kw: ran.append(8 * np.dtype(dt).itemsize)
+                        or frombuffer(buf, dt, **kw))
+    edges = [(p, n, flat, rows) for (p, n), (flat, rows) in ROUTE_EDGES.items() if n <= 16385]
+    cases = [(p, rng.integers(1, p, n + d), rng.integers(1, p, n + 3 - d), flat)
+             for p, n, flat, _ in edges for d in (0, 3)]
+    cases += [(p, rng.integers(1, p, (2, n)), rng.integers(1, p, n), rows) for p, n, _, rows in edges]
+    for e in (_CLMUL - 2, 5):       # 1024 long, where a shorter length would lose a slot bit
+        cases += [(2, np.eye(1, 1024, e, dtype=np.int64)[0], np.ones(1025, dtype=np.int64), 11)]
+    for p, a, b, want in cases:
+        ran.clear()
+        _conv(a, b, p, a.shape[-1])
+        assert ran[0] == want, (p, a.shape, want, ran[:3])
 
 
 @pytest.mark.parametrize("n", [1023, 1024, 1025])
@@ -482,12 +551,12 @@ def test_compose_stack_with_rows_0_1_and_t(p):
             assert np.array_equal(got, np.stack([images[i].coeffs for i in stack])), (p, n, stack)
 
 
-# (r, L) on each side of the packed walk's rule, r*L >= _CLMUL in rows of
-# L >= _CLMUL_ROWS: r*L at _CLMUL - 1 and from _CLMUL, for r = 1, 2, 3; L
-# at _CLMUL_ROWS - 1 and + 1 for r = 6, the least r whose r*L crosses
-# _CLMUL there; L + 1 = N + 1 at 0, 1 and 7 mod 8, and N = 2048, 4096.
+# (r, L) on each side of the packed walk's rule, r*L >= _CLMUL: r*L at
+# _CLMUL - 1 and from _CLMUL, for r = 1, 2, 3; short rows, L = 127, 128 and
+# 129 for r = 6, packed though no caller stacks more than 2 series; L + 1 =
+# N + 1 at 0, 1 and 7 mod 8, and N = 2048, 4096.
 WALK_EDGES = [(r, -(-_CLMUL // r) + d) for r in (1, 2, 3) for d in (-1, 0)]
-WALK_EDGES += [(6, _CLMUL_ROWS + d) for d in (-1, 0, 1)]
+WALK_EDGES += [(6, 128 + d) for d in (-1, 0, 1)]
 WALK_SHAPES = WALK_EDGES + [(r, L) for r in (1, 2, 3) for L in (_CLMUL - 1, _CLMUL + 1, 2049, 4097)]
 
 
@@ -531,7 +600,7 @@ def test_certificate_walks_packed_and_group_ops_do_not(monkeypatch):
     """run_checks at N = 2048 makes no p = 2 row product: both its walks go
     packed, gathering by g's table.  A p = 2 composition at N = 384 (as in
     group_ops) keeps its int64 walk and gathers nothing, and a stack goes
-    packed exactly where r*L >= _CLMUL and L >= _CLMUL_ROWS."""
+    packed exactly where r*L >= _CLMUL."""
     from nottingham.order4 import run_checks, sigma_bundle
     bundle = sigma_bundle(2048)
     shapes, gathers = [], []
@@ -546,7 +615,7 @@ def test_certificate_walks_packed_and_group_ops_do_not(monkeypatch):
     for r, L in WALK_EDGES:
         gathers.clear()
         _compose(np.ones((r, L), dtype=np.int64), random_no_constant(rng, 2, L - 1).coeffs, 2)
-        assert bool(gathers) == (r * L >= _CLMUL and L >= _CLMUL_ROWS), (r, L)
+        assert bool(gathers) == (r * L >= _CLMUL), (r, L)
 
 
 def test_compose_all_checks_every_row():

@@ -1,4 +1,6 @@
 import random
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -642,11 +644,20 @@ def test_from_text_keeps_negative_coefficients():
     f"p=2 N=5\n1:{'7' * 5000}\n",
     f"p=2 N=5\n1:{'x' * 5000}\n",
     f"p=2 N={'9' * 4000}\n0\n",
-], ids=["exponent", "coefficient", "non-digits", "truncation-order"])
+    f"p=2 N=5\n1:{'1' * 4301}\n",
+    f"p=2 N=5\n1:-{'1' * 4301}\n",
+    f"p=2 N=5\n{'1' * 4301}:1\n",
+], ids=["exponent", "coefficient", "non-digits", "truncation-order", "coefficient-past-int-limit",
+        "negative-coefficient-past-int-limit", "exponent-past-int-limit"])
 def test_from_text_error_echoes_a_short_token(text):
     with pytest.raises(ValueError) as info:
         Series.from_text(text)
-    assert len(str(info.value)) < 150
+    message = str(info.value)
+    assert len(message) < 150
+    # ASCII digits past int()'s limit on digits name that limit
+    limit = sys.get_int_max_str_digits()
+    past = re.search(f"[0-9]{{{limit + 1}}}", text) is not None
+    assert (f"over {limit} digits" in message, "need ASCII digits" in message) == (past, not past)
 
 
 def test_repr_smoke():
