@@ -203,6 +203,8 @@ def run_checks(bundle):
     breaks; for a "must differ" sub-check that unexpectedly agrees, the
     sentinel N+1 is reported (no distinguishing exponent within precision).
     """
+    if not isinstance(bundle, SigmaBundle):
+        raise TypeError(f"expected a SigmaBundle, got {type(bundle).__name__}")
     n = bundle.trunc
     _check_trunc(n, 8)
     if bundle.sigma_closed.p != 2:

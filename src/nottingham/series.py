@@ -19,8 +19,8 @@ product's cost, one tree level at a time and for a stack of outer series at
 once: a block ladder sized by its leaf rows evaluates all leaves (at most
 _TWIG coefficients) as rows of a matrix, a level's rows multiply by g in one
 _conv, on bit-packed rows and one byte table of g from the leaves to the
-root if _route gives the top level the kernel.  Reciprocals, m-th roots and
-reversion (down to elimination at _LEAF coefficients) are Newton doublings.
+root if _route gives the top level the kernel.  Reciprocals and m-th roots
+(_inv_root), and reversion (down to _LEAF), are Newton from half precision.
 
 Values are immutable after construction and every operation is a pure
 function of its inputs, so Series objects are safe to share across threads.
@@ -281,21 +281,24 @@ def _pow(a, k, p):
     return _substitute(out, q, n1) if q > 1 else out
 
 
-def _reciprocal(a, p):
-    """Newton doubling for 1/a; needs a[0] invertible, no derivatives."""
+def _inv_root(a, m, p):
+    """a^(-1/m) mod t^n1, n1 = len(a), u(0) = 1/a(0), for m a unit mod p and
+    a(0) = 1 if m > 1, by Newton (Brent and Kung 1978) from u mod t^h, h =
+    ceil(n1/2): a*u^m = 1 + t^h*e, and u gains -(u*e mod t^(n1-h))/m."""
     n1 = a.shape[0]
-    c0 = int(a[0])
-    if c0 == 0:
-        raise NotAUnit("series with zero constant term has no reciprocal")
-    g = np.array([pow(c0, -1, p)], dtype=_DT)
-    prec = 1
-    while prec < n1:
-        prec = min(2 * prec, n1)
-        # g' = g*(2 - a*g) lifts a correct inverse mod t^k to mod t^(2k)
-        corr = _red(-_conv(a[:prec], g, p, prec), p)
-        corr[0] = (corr[0] + 2) % p
-        g = _conv(g, corr, p, prec)
-    return g
+    if n1 == 1:
+        if not a[0]:
+            raise NotAUnit("series with zero constant term has no reciprocal")
+        return np.array([pow(int(a[0]), -1, p)], dtype=_DT)
+    h = (n1 + 1) // 2
+    u = _inv_root(a[:h], m, p)
+    um = u
+    if m > 1:       # u*u^(m-1), not u^m: m is prime to p, and _pow spreads p's power in m - 1
+        v = np.concatenate([u, _zeros(n1 - h)])
+        um = _mul(v, _pow(v, m - 1, p), p)
+    e = _conv(a, um, p, n1)[h:]
+    c = _conv(e, u[:n1 - h], p, n1 - h)
+    return np.concatenate([u, _red(-pow(m % p, -1, p) * c, p)])
 
 
 def _compose(f, g, p):
@@ -401,8 +404,8 @@ class Series:
         _check_trunc(trunc)
         arr = np.asarray(coeffs)
         if arr.ndim != 1 or arr.shape[0] > trunc + 1:
-            raise ValueError(
-                f"expected at most {trunc + 1} coefficients, got shape {arr.shape}")
+            raise ValueError(f"expected a 1-D sequence of at most {trunc + 1} coefficients,"
+                             f" got {type(coeffs).__name__} of shape {arr.shape}")
         if arr.dtype.kind not in "bi" and arr.size:  # ints of 64 bits or more, or no ints
             arr = np.asarray([c % p if _is_int(c) else c for c in arr.tolist()])
             if arr.dtype.kind != "i":
@@ -449,11 +452,11 @@ class Series:
         _check_trunc(trunc)
         arr = _zeros(trunc + 1)
         seen = set()
-        for e, c in items:
+        for item in items:
             try:
-                e, c = index(e), index(c)
-            except TypeError:
-                raise ValueError(f"terms must be int pairs, got {_echo(e)}: {_echo(c)}") from None
+                e, c = map(index, item)
+            except (TypeError, ValueError):     # not a pair, or not ints
+                raise ValueError(f"terms must be int pairs, got {_echo(item)}") from None
             if not 0 <= e <= trunc:
                 raise ValueError(f"exponent {_echo(e)} outside [0, {trunc}]")
             if e in seen:
@@ -566,7 +569,7 @@ class Series:
 
     def reciprocal(self):
         """The unique g with self*g = 1; requires a unit constant term."""
-        return self._new(_reciprocal(self.coeffs, self.p))
+        return self._new(_inv_root(self.coeffs, 1, self.p))
 
     # ------------------------------------------------------------------
     # composition
@@ -606,8 +609,8 @@ class Series:
     def nth_root(self, m):
         """The unique u with u(0) = 1 and u^m = self, for gcd(m, p) = 1.
 
-        Newton doubling from u = 1, valid as m is a unit mod p: each step
-        u <- u + (self/u^(m-1) - u)/m doubles the precision of the root.
+        The reciprocal of self^(-1/m): two passes of _inv_root, valid as m
+        is a unit mod p.
         """
         if not _is_int(m) or m < 1:
             raise ValueError(f"root index must be a positive int, got {_echo(m)}")
@@ -617,14 +620,7 @@ class Series:
             raise BadRoot("m-th roots are extracted from unit series with f(0) = 1")
         if m == 1:
             return self
-        p, n1 = self.p, self.trunc + 1
-        inv_m = pow(m % p, -1, p)
-        u = np.ones(1, dtype=_DT)
-        while u.shape[0] < n1:
-            u = np.concatenate([u, _zeros(min(u.shape[0], n1 - u.shape[0]))])
-            q = _mul(self.coeffs[:u.shape[0]], _reciprocal(_pow(u, m - 1, p), p), p)
-            u = _red(u + inv_m * (q - u), p)
-        return self._new(u)
+        return self._new(_inv_root(_inv_root(self.coeffs, m, self.p), 1, self.p))
 
     # ------------------------------------------------------------------
     # precision

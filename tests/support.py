@@ -9,7 +9,8 @@ degree-by-degree elimination for reversion, the plain-squaring sum for
 Artin-Schreier roots and the coefficient-at-a-time m-th root.  They
 multiply with convolve_product, one int64 convolution, which is the
 library's product kernel without Kronecker substitution, so they do not
-run the kernel they check.  The spread sum for Artin-Schreier roots, the
+run the kernel they check.  The coefficient-at-a-time reciprocal
+multiplies plain ints.  The spread sum for Artin-Schreier roots, the
 loop the library ran before it solved s = f + s(t^2) by doubling, makes
 no product at all, so it stays fast at large N.  naive_order takes every
 p-th power at full precision, where the library decides the last ones
@@ -165,6 +166,19 @@ def summed_artin_schreier_root(f):
         acc = acc + f
         f = naive_product(f, f)
     return acc
+
+
+def coefficientwise_reciprocal(f):
+    """g with f*g = 1, one coefficient at a time on plain ints: g_0 = 1/f_0
+    and g_n = -g_0 * sum_{k=1..n} f_k g_(n-k); the reciprocal oracle
+    (f(0) a unit)."""
+    p, n = f.p, f.trunc
+    c = [f[e] for e in range(n + 1)]
+    g0 = pow(c[0], -1, p)
+    g = [g0]
+    for e in range(1, n + 1):
+        g.append(-g0 * sum(c[k] * g[e - k] for k in range(1, e + 1)) % p)
+    return Series(p, n, g)
 
 
 def coefficientwise_nth_root(f, m):

@@ -7,8 +7,9 @@ one level at a time above the block-ladder leaves (at most _TWIG
 coefficients, or fewer than p^2), each level's rows multiplied by g in one
 packed product (at p = 2 and long, on rows kept bit-packed from the leaves
 to the root), p-th powers run as coefficient spreads and Artin-Schreier
-roots as an in-place doubling, powers above N reduce their exponent, m-th roots and reversion
-(above the elimination leaf) run Newton iteration, klopsch_rep works in
+roots as an in-place doubling, powers above N reduce their exponent,
+reciprocals and m-th roots run one Newton routine from half length, reversion
+(above the elimination leaf) runs Newton iteration, klopsch_rep works in
 x = t^m, division by 1 + t over F_2 is a prefix XOR, and truncated orders
 skip or probe the last p-th powers by depth; each is checked
 for bit-equality against an algorithm that does none of that.
@@ -24,10 +25,11 @@ from nottingham.group import GroupElement, klopsch_rep, order_mod_truncation
 from nottingham.order4 import _r, sigma_closed
 from nottingham.series import (
     _CLMUL, _KRONECKER, _LEAF, _SPREAD, _TWIG, Series, _bits, _clmul, _compose, _compose_all, _conv,
-    _eliminate, _gather, _mul, _mul_rows, _route, _substitute)
+    _eliminate, _gather, _inv_root, _mul, _mul_rows, _route, _substitute)
 
 from support import (
     coefficientwise_nth_root,
+    coefficientwise_reciprocal,
     convolve_product,
     eliminate_reversion,
     horner_compose,
@@ -76,7 +78,7 @@ def residues(rng, p, n):
 def test_conv_matches_convolve_at_crossover(p):
     rng = random.Random(470 + p)
     for n in (CROSSOVER[p] - 1, CROSSOVER[p], CROSSOVER[p] + 1):
-        # equal lengths, the reciprocal's (a[:prec], g) shapes both ways, full product
+        # equal lengths, _inv_root's (a, u) shapes both ways, full product
         for la, lb, n1 in ((n, n, n), (2 * n, n, 2 * n), (n, 2 * n, 2 * n), (n, n + 3, 2 * n + 2)):
             a, b = residues(rng, p, la), residues(rng, p, lb)
             assert np.array_equal(_conv(a, b, p, n1), np.convolve(a, b)[:n1] % p), (p, la, lb)
@@ -255,7 +257,7 @@ def test_clmul_at_byte_edges(monkeypatch, block):
 
 def test_conv_takes_the_byte_table_kernel_at_its_crossover():
     """Shorter operand _CLMUL - 1 (bit slots), _CLMUL and _CLMUL + 1 (the
-    kernel), in the shapes of _mul, of the reciprocal's steps and whole; an
+    kernel), in the shapes of _mul and of _inv_root's products; an
     operand counts up to its last nonzero coefficient."""
     rng = np.random.default_rng(530)
     for n in (_CLMUL - 1, _CLMUL, _CLMUL + 1):
@@ -827,6 +829,72 @@ def test_nth_root_matches_coefficientwise(p):
             assert f.nth_root(m) == coefficientwise_nth_root(f, m), (p, n, m)
 
 
+INV_ROOT_N1 = (1, 2, 3, *(2 ** k + d for k in (5, 6, 10) for d in (-1, 0, 1)), _CLMUL - 1, _CLMUL + 1)
+
+
+def halvings(n1):
+    """n1, ceil(n1/2), ..., 1: the lengths one _inv_root pass works down through."""
+    out = [n1]
+    while out[-1] > 1:
+        out.append((out[-1] + 1) // 2)
+    return out
+
+
+@pytest.mark.parametrize("p", (2, 3, 257))
+def test_inv_root_matches_coefficientwise(p):
+    """reciprocal (units other than 1 where p > 2) and nth_root against the
+    coefficient-at-a-time oracles at lengths on each side of 2^k and of
+    _CLMUL.  Above 65 coefficients the root oracle takes 1-5 s a case, so
+    there the root is checked by u(0) = 1 and u^m = f under convolve_product
+    powers, which pin the same unique root; u^q = 1 for q = unit_exponent /
+    (p - 1), so the power is taken to m mod q."""
+    rng = random.Random(1470 + p)
+    ms = sorted({m for m in (2, p - 1, p + 1, 10 ** 30 + 1) if m % p and m > 1})
+    for n1 in INV_ROOT_N1:
+        n, q = n1 - 1, unit_exponent(p, n1 - 1) // (p - 1)
+        f = with_constant(rng, p, n, rng.randrange(2, p) if p > 2 else 1)
+        assert f.reciprocal() == coefficientwise_reciprocal(f), (p, n1)
+        f = random_one_unit(rng, p, n)
+        for m in ms:
+            u = f.nth_root(m)
+            if n1 <= 65:
+                assert u == coefficientwise_nth_root(f, m), (p, n1, m % 1000)
+            else:
+                assert u[0] == 1 and naive_power(u, m % q, convolve_product) == f, (p, n1, m % 1000)
+
+
+def test_inv_root_works_down_from_full_length(monkeypatch):
+    """One _inv_root pass recurses on lengths n1, ceil(n1/2), ..., 1, with
+    the same m throughout: reciprocal is one pass with m = 1, and nth_root(m)
+    is a pass with m, for f^(-1/m), then one with m = 1, its reciprocal."""
+    calls = []
+    monkeypatch.setattr(series, "_inv_root",
+                        lambda a, m, p: calls.append((len(a), m)) or _inv_root(a, m, p))
+    rng = random.Random(1480)
+    for p, n1 in ((2, 1), (2, 2), (3, 3), (2, 33), (5, 64), (3, 1025), (2, _CLMUL + 1), (257, 100)):
+        f = random_one_unit(rng, p, n1 - 1)
+        calls.clear()
+        f.reciprocal()
+        assert calls == [(n, 1) for n in halvings(n1)], (p, n1)
+        calls.clear()
+        f.nth_root(p + 1)
+        assert calls == [(n, p + 1) for n in halvings(n1)] + [(n, 1) for n in halvings(n1)], (p, n1)
+
+
+@pytest.mark.parametrize("p, m", ((2, 3), (3, 2), (5, 11), (257, 10 ** 30 + 1)))
+def test_nth_root_is_two_full_length_passes(monkeypatch, p, m):
+    """nth_root makes exactly two _inv_root calls at full length, and no
+    reciprocal call: no Newton loop runs inside another."""
+    full, n1 = [], 700
+    monkeypatch.setattr(series, "_inv_root",
+                        lambda a, *rest: full.append(len(a) == n1) or _inv_root(a, *rest))
+    monkeypatch.setattr(Series, "reciprocal", lambda self: pytest.fail("nth_root called reciprocal"))
+    f = random_one_unit(random.Random(1490 + p), p, n1 - 1)
+    u = f.nth_root(m)
+    assert sum(full) == 2
+    assert naive_power(u, m % unit_exponent(p, n1 - 1), convolve_product) == f
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_reversion_matches_elimination(p):
     rng = random.Random(450 + p)
@@ -860,12 +928,16 @@ def test_reversion_roundtrip_under_horner(p):
 
 
 def test_klopsch_rep_matches_unspread_root():
+    """klopsch_rep, computed in x = t^m, against the coefficient-at-a-time
+    m-th root in t of 1/(1 - a*t^m), the geometric series sum_k a^k t^(mk)
+    written out term by term, shifted one place for the factor t."""
     for p in (2, 3, 5):
         for m in (m for m in range(1, 13) if m % p):
             for a in range(1, p):
                 for n in (m + 1, 200):
-                    unit = Series.from_terms(p, n, {0: 1, m: -a}).reciprocal().nth_root(m)
-                    expected = GroupElement(Series.gen(p, n) * unit)
+                    geometric = Series.from_terms(p, n, {m * k: pow(a, k, p) for k in range(n // m + 1)})
+                    root = coefficientwise_nth_root(geometric, m)
+                    expected = GroupElement(Series(p, n, [0, *root.coeffs[:n]]))
                     assert klopsch_rep(p, m, a, n) == expected, (p, m, a, n)
 
 

@@ -282,6 +282,9 @@ def test_first_difference_checks_the_context():
             run_checks(b.with_candidate(other))
     with pytest.raises(TypeError, match="^expected a GroupElement, got Series$"):
         b.with_candidate(sigma_closed(64).series)
+    for other in (None, b.sigma_closed, b.trunc):
+        with pytest.raises(TypeError, match=f"^expected a SigmaBundle, got {type(other).__name__}$"):
+            run_checks(other)
 
 
 def test_division_by_one_plus_t_makes_no_product(monkeypatch):

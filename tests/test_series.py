@@ -59,8 +59,19 @@ def test_constructor_pads_and_reduces():
 
 
 def test_constructor_rejects_excess_coefficients():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^expected a 1-D sequence of at most 3 coefficients"):
         Series(2, 2, [1, 1, 1, 1])
+
+
+@pytest.mark.parametrize("coeffs, got", [
+    ("ab", "str of shape ()"), (None, "NoneType of shape ()"), (5, "int of shape ()"),
+    ([[1, 2]], "list of shape (1, 2)"),
+], ids=["str", "none", "int", "nested"])
+def test_constructor_needs_a_flat_sequence(coeffs, got):
+    # a scalar or a nested input is no sequence of coefficients, never a count of them
+    with pytest.raises(ValueError) as info:
+        Series(2, 2, coeffs)
+    assert str(info.value) == f"expected a 1-D sequence of at most 3 coefficients, got {got}"
 
 
 def test_constructor_rejects_bad_trunc():
@@ -157,10 +168,17 @@ def test_from_terms_takes_distinct_pairs_in_any_order():
     (0, {1: 1}),        # not a prime: checked before any c % p
     (2, {1.5: 1}),      # non-int exponent
     (2, {1: 1.5}),      # non-integer coefficient, not truncated to 1
-], ids=["prime", "float-exponent", "float-coefficient"])
+    (2, [1, 2]),        # items that are not pairs
+    (2, [(1, 2, 3)]),
+    (2, [(1,)]),
+    (2, ["ab"]),        # a pair of characters, not of ints
+], ids=["prime", "float-exponent", "float-coefficient", "ints", "triple", "single", "str"])
 def test_from_terms_rejects_bad_input(p, terms):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         Series.from_terms(p, 5, terms)
+    if p:       # every bad item is one message, the item echoed, never Python's unpacking error
+        item = next(iter(terms.items() if isinstance(terms, dict) else terms))
+        assert str(info.value) == f"terms must be int pairs, got {item!r}"
 
 
 @pytest.mark.parametrize("coeffs", [[1.5], [1, 2.0], ["1"], [None]],
