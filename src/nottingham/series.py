@@ -12,15 +12,15 @@ point.  A product is one _conv, on the path _route names from the shorter
 operand's length: an int64 convolution, Kronecker substitution (one big-int
 product of packed coefficients, a bit per coefficient at p = 2, else byte
 slots) or, at p = 2, a carry-less byte-table kernel (_table, then _gather).
-Over F_p a p-th power is a coefficient spread, f(t)^p = f(t^p), which p-th
-powers (and p = 2 squares), Artin-Schreier roots and composition use.
+Over F_p, f(t)^p = f(t^p) is a spread, which powers (every base-p digit of k
+past the lowest), p = 2 squares, Artin-Schreier roots and composition use.
 Composition is Bernstein's Frobenius split, O(p*M(N)*log_p N) for M(N) one
 product's cost, one tree level at a time and for a stack of outer series at
 once: a block ladder sized by its leaf rows evaluates all leaves (at most
 _TWIG coefficients) as rows of a matrix, a level's rows multiply by g in one
 _conv, on bit-packed rows and one byte table of g from the leaves to the
 root if _route gives the top level the kernel.  Reciprocals and m-th roots
-(_inv_root), and reversion (down to _LEAF), are Newton from half precision.
+(_inv_root, u^m one _pow) and reversion (down to _LEAF) are Newton doubling.
 
 Values are immutable after construction and every operation is a pure
 function of its inputs, so Series objects are safe to share across threads.
@@ -176,7 +176,8 @@ def _conv(a, b, p, n1):
     """The first n1 < len(a) + len(b) coefficients of a*b mod p, for arrays of
     canonical residues, or of each row times b for an (r, m) array a, by the
     path _route names, the kernel's only if operands cut at their last 1s
-    still take it: high zeros shorten bit slots but not the kernel's work."""
+    still take it: high zeros shorten bit slots but not the kernel's work, and
+    _inv_root passes a uncut, two coefficients for klopsch_rep's 1 - a*x at p = 2."""
     rows = a.ndim == 2
     if not rows and not len(a) >= _KRONECKER <= len(b):      # _route's 0, inline: most products are short
         return _red(np.convolve(a, b)[:n1], p)
@@ -266,19 +267,19 @@ def _period(p, n1):
 
 def _pow(a, k, p):
     """a^k mod t^n1, maybe a itself, so read-only.  For k >= n1, a^k = 0 if a(0) = 0,
-    else k counts mod (p-1)*p^J, p^J >= n1: c^(p-1) = 1, u^(p^J) = u(t^(p^J)) = 1."""
+    else k counts mod (p-1)*p^J, p^J >= n1: c^(p-1) = 1, u^(p^J) = u(t^(p^J)) = 1.
+    Then by base-p digits: a^(d + p*k) = a^d * (a^k mod t^ceil(n1/p))(t^p), d < p."""
     n1 = a.shape[0]
     if k >= n1:
         if not a[0]:
             return _zeros(n1)
         k %= (p - 1) * _period(p, n1)
-    if k == 0:
-        return np.eye(1, n1, dtype=_DT)[0]
-    q = 1
-    while k % p == 0:     # a^(k*q) is a^k spread q apart
-        k, q = k // p, q * p
-    out = _ladder(a, k, lambda x, y: _mul(x, y, p))
-    return _substitute(out, q, n1) if q > 1 else out
+    d = k % p
+    low = _ladder(a, d, lambda x, y: _mul(x, y, p)) if d else np.eye(1, n1, dtype=_DT)[0]
+    if k < p:
+        return low
+    rest = _substitute(_pow(a[:(n1 - 1) // p + 1], k // p, p), p, n1)
+    return _mul(low, rest, p) if d else rest
 
 
 def _inv_root(a, m, p):
@@ -292,10 +293,7 @@ def _inv_root(a, m, p):
         return np.array([pow(int(a[0]), -1, p)], dtype=_DT)
     h = (n1 + 1) // 2
     u = _inv_root(a[:h], m, p)
-    um = u
-    if m > 1:       # u*u^(m-1), not u^m: m is prime to p, and _pow spreads p's power in m - 1
-        v = np.concatenate([u, _zeros(n1 - h)])
-        um = _mul(v, _pow(v, m - 1, p), p)
+    um = _pow(np.concatenate([u, _zeros(n1 - h)]), m, p) if m > 1 else u
     e = _conv(a, um, p, n1)[h:]
     c = _conv(e, u[:n1 - h], p, n1 - h)
     return np.concatenate([u, _red(-pow(m % p, -1, p) * c, p)])
@@ -561,6 +559,8 @@ class Series:
     __rmul__ = __mul__
 
     def __pow__(self, k):
+        """self^k for an int k >= 0 in O(log p) full products, by _pow: above N,
+        k counts mod (p-1)*p^J, p^J > N, or self^k = 0 if self(0) = 0."""
         if not _is_int(k):
             return NotImplemented
         if k < 0:

@@ -10,11 +10,13 @@ Artin-Schreier roots and the coefficient-at-a-time m-th root.  They
 multiply with convolve_product, one int64 convolution, which is the
 library's product kernel without Kronecker substitution, so they do not
 run the kernel they check.  The coefficient-at-a-time reciprocal
-multiplies plain ints.  The spread sum for Artin-Schreier roots, the
-loop the library ran before it solved s = f + s(t^2) by doubling, makes
-no product at all, so it stays fast at large N.  naive_order takes every
-p-th power at full precision, where the library decides the last ones
-from depth.
+multiplies plain ints.  power_nth_root takes the m-th root as the power
+f^(1/m mod q), p^J = q > N, by square-and-multiply over convolve_product,
+an oracle fast enough for the lengths where the byte-table kernel runs.
+The spread sum for Artin-Schreier roots, the loop the library ran before
+it solved s = f + s(t^2) by doubling, makes no product at all, so it
+stays fast at large N.  naive_order takes every p-th power at full
+precision, where the library decides the last ones from depth.
 """
 
 import contextlib
@@ -197,6 +199,22 @@ def coefficientwise_nth_root(f, m):
         w = naive_power(Series(p, e, u[:e + 1]), m % q, convolve_product)
         u[e] = (f[e] - w[e]) * inv_m % p
     return Series(p, n, u)
+
+
+def unit_exponent(p, n):
+    """(p-1)*p^J for the least p^J >= n + 1: units mod t^(n+1) have this exponent."""
+    q = 1
+    while q < n + 1:
+        q *= p
+    return (p - 1) * q
+
+
+def power_nth_root(f, m):
+    """u with u(0) = 1 and u^m = f, as f^B for B = 1/m mod q, q the least
+    p^J >= N + 1: f^q = f(t^q) = 1 mod t^(N+1) when f(0) = 1, so (f^B)^m =
+    f^(1 + jq) = f; the m-th root oracle at large N (gcd(m, p) = 1)."""
+    q = unit_exponent(f.p, f.trunc) // (f.p - 1)
+    return naive_power(f, pow(m, -1, q), convolve_product)
 
 
 def run_cli(argv):

@@ -6,8 +6,9 @@ kernel, p = 2 squares are spreads, composition runs the Frobenius split
 one level at a time above the block-ladder leaves (at most _TWIG
 coefficients, or fewer than p^2), each level's rows multiplied by g in one
 packed product (at p = 2 and long, on rows kept bit-packed from the leaves
-to the root), p-th powers run as coefficient spreads and Artin-Schreier
-roots as an in-place doubling, powers above N reduce their exponent,
+to the root), powers take their exponent one base-p digit at a time, the
+higher digits as a coefficient spread, Artin-Schreier roots run as an
+in-place doubling, powers above N reduce their exponent,
 reciprocals and m-th roots run one Newton routine from half length, reversion
 (above the elimination leaf) runs Newton iteration, klopsch_rep works in
 x = t^m, division by 1 + t over F_2 is a prefix XOR, and truncated orders
@@ -25,7 +26,7 @@ from nottingham.group import GroupElement, klopsch_rep, order_mod_truncation
 from nottingham.order4 import _r, sigma_closed
 from nottingham.series import (
     _CLMUL, _KRONECKER, _LEAF, _SPREAD, _TWIG, Series, _bits, _clmul, _compose, _compose_all, _conv,
-    _eliminate, _gather, _inv_root, _mul, _mul_rows, _route, _substitute)
+    _eliminate, _gather, _inv_root, _mul, _mul_rows, _pow, _route, _substitute)
 
 from support import (
     coefficientwise_nth_root,
@@ -36,6 +37,7 @@ from support import (
     naive_order,
     naive_power,
     naive_product,
+    power_nth_root,
     random_group_element,
     random_invertible,
     random_no_constant,
@@ -44,6 +46,7 @@ from support import (
     random_unit,
     spread_artin_schreier_root,
     summed_artin_schreier_root,
+    unit_exponent,
 )
 
 PRIMES = (2, 3, 5, 7, 257)
@@ -292,6 +295,20 @@ def test_mul_rows_at_the_walk_crossover_shapes():
         assert np.array_equal(_mul_rows(rows, g, 2), convolve_rows(rows, g, m)), (r, m)
         ones = np.ones((r, m), dtype=np.int64)
         assert np.array_equal(_mul_rows(ones, g, 2), convolve_rows(ones, g, m)), (r, m)
+
+
+def test_kernel_skips_units_two_coefficients_long(monkeypatch):
+    """_inv_root passes a uncut, so _conv's last-1 rule alone keeps 1 + t's
+    reciprocal, and klopsch_rep's unit 1 - a*x at p = 2, off the byte-table
+    kernel at N = 2047; a dense unit's reciprocal takes it."""
+    calls = []
+    monkeypatch.setattr(series, "_clmul", lambda *args: calls.append(args) or _clmul(*args))
+    Series(2, 2047, (1, 1)).reciprocal()
+    assert len(calls) == 0
+    klopsch_rep(2, 1, 1, 2047)
+    assert len(calls) == 0
+    random_unit(random.Random(550), 2, 2047).reciprocal()
+    assert len(calls) >= 1
 
 
 def test_conv_routes_to_the_byte_table_kernel(monkeypatch):
@@ -666,18 +683,10 @@ def with_constant(rng, p, n, c0):
     return Series(p, n, [c0] + [rng.randrange(p) for _ in range(n)])
 
 
-def unit_exponent(p, n):
-    """(p-1)*p^J for the least p^J >= n + 1: units mod t^(n+1) have this exponent."""
-    q = 1
-    while q < n + 1:
-        q *= p
-    return (p - 1) * q
-
-
 @pytest.mark.parametrize("p", (2, 3, 7, 257))
 def test_pow_matches_naive_for_every_small_exponent(p):
     """f ** k for k in 0..40, a(0) in {0, 1, c}: the exponent reduction
-    above N, the Frobenius strip and the ladder against the square-and-multiply
+    above N, the base-p digits and their ladders against the square-and-multiply
     oracle over plain convolutions."""
     rng = random.Random(590 + p)
     for n in (0, 1, 2, 17, 40):
@@ -709,7 +718,7 @@ def test_pow_is_periodic_in_the_unit_exponent(p):
 @pytest.mark.parametrize("p", PRIMES)
 def test_nth_root_with_a_4000_digit_index(p):
     """A 4,000-digit m reduces like any exponent: the Newton step's
-    u^(m-1) costs as much as a small power's."""
+    u^m costs as much as a small power's."""
     rng = random.Random(610 + p)
     for n in (0, 1, 2, 17, 40):
         f = random_one_unit(rng, p, n)
@@ -718,18 +727,78 @@ def test_nth_root_with_a_4000_digit_index(p):
                 assert f.nth_root(m) == coefficientwise_nth_root(f, m), (p, n, m % 1000)
 
 
-def test_pow_starts_the_ladder_at_the_lowest_set_bit(monkeypatch):
-    """f ** k for k prime to p and k <= N makes bit_length - 1 squares and
-    popcount - 1 products, none by 1: f ** 5 at p = 3 is three _mul calls."""
-    f = random_unit(random.Random(620), 3, 40)
+def digit_products(k, p):
+    """_mul calls of f ** k for k <= N: for each nonzero base-p digit d of k,
+    the ladder's bit_length(d) - 1 squares and popcount(d) - 1 products, and
+    one product joining it to the spread of the higher digits, if any."""
+    count = 0
+    while k:
+        k, d = divmod(k, p)
+        if d:
+            count += d.bit_length() + bin(d).count("1") - 2 + (k > 0)
+    return count
+
+
+@pytest.mark.parametrize("p, n", ((2, 40), (3, 40), (5, 40), (257, 600)))
+def test_pow_costs_a_ladder_per_base_p_digit(monkeypatch, p, n):
+    """f ** k for k <= N makes digit_products(k, p) _mul calls, none by 1:
+    f ** 5 at p = 3, digits 2 and 1, is a^2 and its product with a(t^3)."""
+    f = random_unit(random.Random(620 + p), p, n)
     calls = []
     monkeypatch.setattr(series, "_mul", lambda a, b, p: calls.append(1) or _mul(a, b, p))
-    f ** 5
-    assert len(calls) == 3
-    for k in (k for k in range(1, 41) if k % 3):
+    if p == 3:
+        f ** 5
+        assert len(calls) == 2
+    for k in range(n + 1):
         calls.clear()
         f ** k
-        assert len(calls) == k.bit_length() + bin(k).count("1") - 2, k
+        assert len(calls) == digit_products(k, p), k
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 257))
+def test_pow_recurses_on_base_p_digits(monkeypatch, p):
+    """f ** k calls _pow at (n1, k), (ceil(n1/p), k // p), ... until the
+    exponent is one digit: each level takes k's lowest base-p digit and leaves
+    the rest to a p-th of the length.  An exponent above N is reduced first,
+    and then no level below needs reducing."""
+    calls = []
+    monkeypatch.setattr(series, "_pow", lambda a, k, p: calls.append((len(a), k)) or _pow(a, k, p))
+    rng = random.Random(625 + p)
+    for n in (0, 1, 2, 40, 300, 1300):
+        e = unit_exponent(p, n)
+        for c0 in (1, 0):
+            f = with_constant(rng, p, n, c0)
+            for k in sorted({1, p - 1, p, p + 1, p * p + 1, n, e - 1, e + p, 10 ** 40 + 7}):
+                if not c0 and k > n:
+                    continue
+                calls.clear()
+                f ** k
+                n1, r = n + 1, k % e if k > n else k
+                want = [(n1, k)]
+                while r >= p:
+                    n1, r = -(-n1 // p), r // p
+                    want.append((n1, r))
+                assert calls == want, (n, c0, k)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_pow_digits_match_naive(p):
+    """f ** k against square-and-multiply over plain convolutions at k in
+    {p - 1, p, p^2} and at q - 1, q, q + 1 for q = (p-1)*p^J, p^J >= N + 1:
+    the longest digit, a lone spread digit and the reduction's edges.  At N
+    in {300, 1300, 4097} the recursion runs 3 or more levels and its
+    products cross _KRONECKER, _CLMUL at p = 2 and the 32-bit slots' 640
+    at p = 257.  Bases have a(0) in {1, c, 0} or are sparse units; for
+    a(0) = 0 only k <= N, as larger powers are zero."""
+    rng = random.Random(640 + p)
+    for n in (0, 1, 2, 300, 1300, 4097):
+        q = unit_exponent(p, n)
+        terms = {0: 1, **{e: rng.randrange(1, p) for e in rng.sample(range(1, n + 1), min(n, 3))}}
+        bases = [with_constant(rng, p, n, c0) for c0 in sorted({1, p - 1, 0})]
+        for f in bases + [Series.from_terms(p, n, terms)]:
+            for k in (p - 1, p, p * p, q - 1, q, q + 1):
+                if f[0] or k <= n:
+                    assert f ** k == naive_power(f, k, convolve_product), (n, f[0], k)
 
 
 @pytest.mark.parametrize("p", (2, 3))
@@ -844,23 +913,19 @@ def halvings(n1):
 def test_inv_root_matches_coefficientwise(p):
     """reciprocal (units other than 1 where p > 2) and nth_root against the
     coefficient-at-a-time oracles at lengths on each side of 2^k and of
-    _CLMUL.  Above 65 coefficients the root oracle takes 1-5 s a case, so
-    there the root is checked by u(0) = 1 and u^m = f under convolve_product
-    powers, which pin the same unique root; u^q = 1 for q = unit_exponent /
-    (p - 1), so the power is taken to m mod q."""
+    _CLMUL, and at 4097 for p = 2.  Above 65 coefficients the
+    coefficient-at-a-time root takes 1-5 s a case, so there the root oracle
+    is power_nth_root, f^(1/m mod p^J) by plain convolutions."""
     rng = random.Random(1470 + p)
     ms = sorted({m for m in (2, p - 1, p + 1, 10 ** 30 + 1) if m % p and m > 1})
-    for n1 in INV_ROOT_N1:
-        n, q = n1 - 1, unit_exponent(p, n1 - 1) // (p - 1)
+    for n1 in INV_ROOT_N1 + ((4097,) if p == 2 else ()):
+        n = n1 - 1
         f = with_constant(rng, p, n, rng.randrange(2, p) if p > 2 else 1)
         assert f.reciprocal() == coefficientwise_reciprocal(f), (p, n1)
         f = random_one_unit(rng, p, n)
         for m in ms:
-            u = f.nth_root(m)
-            if n1 <= 65:
-                assert u == coefficientwise_nth_root(f, m), (p, n1, m % 1000)
-            else:
-                assert u[0] == 1 and naive_power(u, m % q, convolve_product) == f, (p, n1, m % 1000)
+            oracle = coefficientwise_nth_root if n1 <= 65 else power_nth_root
+            assert f.nth_root(m) == oracle(f, m), (p, n1, m % 1000)
 
 
 def test_inv_root_works_down_from_full_length(monkeypatch):

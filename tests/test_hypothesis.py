@@ -5,7 +5,9 @@ for every prime and precision: m-th roots, reversion, group inverses and
 the order-p representatives, at p in {2, 3, 5, 7, 257} and N up to 300;
 composition against the Horner ladder and associativity of the group law
 at p in {2, 3, 5, 7}, where every N + 1 above 16 and at least p^2 splits
-into several leaves that share one block ladder.
+into several leaves that share one block ladder.  The exponent laws check
+powers against the ring itself, with exponents up to p^3 and at the unit
+exponent (p-1)*p^J, p^J >= N + 1, where powers above N reduce.
 """
 
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 from nottingham.group import GroupElement, klopsch_rep
 from nottingham.series import Series
 
-from support import horner_compose
+from support import horner_compose, unit_exponent
 
 PRIMES = (2, 3, 5, 7, 257)
 SMALL_PRIMES = (2, 3, 5, 7)
@@ -40,6 +42,24 @@ def test_nth_root_power_is_input(pnf, m):
     u = f.nth_root(m)
     assert u[0] == 1
     assert u ** m == f
+
+
+def exponents(p, n):
+    """Exponents in 0..p^3, or within 1 of the unit exponent (p-1)*p^J, p^J >= n + 1."""
+    return st.integers(0, p ** 3) | st.sampled_from([unit_exponent(p, n) + d for d in (-1, 0, 1)])
+
+
+@settings(FIXED, max_examples=100)
+@given(series(lowest=()), st.sampled_from((0, 1, -1)), st.data())
+def test_power_exponent_laws(pnf, c0, data):
+    """f^j * f^k = f^(j+k) and (f^j)^k = f^(j*k), for f(0) zero, one or
+    another unit (-1); 100 examples, so that both exponents often land past
+    the unit exponent, where a wrong reduction breaks the laws."""
+    p, n, f = pnf
+    f = f - f[0] + c0
+    j, k = (data.draw(exponents(p, n)) for _ in range(2))
+    assert f ** j * f ** k == f ** (j + k)
+    assert (f ** j) ** k == f ** (j * k)
 
 
 @FIXED
