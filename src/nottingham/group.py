@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NotCoprime, NotNormalized, ZeroParameter
 from .field import _echo, _is_int, check_prime
-from .series import Series, _check_trunc, _ladder, _period, _substitute
+from .series import Series, _check_trunc, _ladder, _substitute
 
 INFINITE_DEPTH = math.inf
 DEFAULT_CAP_EXP = 6     # order_mod_truncation's cap is p^DEFAULT_CAP_EXP unless given
@@ -57,7 +57,8 @@ class GroupElement:
             return NotImplemented
         if k < 0:
             raise ValueError("negative powers: use inverse() first")
-        k %= _period(self.p, self.trunc + 1)    # f^p is >= p times as deep as f, so f^(p^J) = t
+        d = self.depth()        # f^k = t if the first p-power whose bound reaches N divides k
+        k %= 1 if d > self.trunc else _chain(d, 1, self.p, self.trunc, math.inf)[1] * self.p
         if k == 0:
             return GroupElement.identity(self.p, self.trunc)
         return _ladder(self, k, GroupElement.__mul__)
@@ -93,6 +94,18 @@ def identity(p, trunc):
     return GroupElement.identity(p, trunc)
 
 
+def _sen(d, p, q):
+    """Least D >= p*d with D = d mod q: depth(g^p) >= D if g = f^(q/p) is d deep."""
+    return p * d + (d - p * d) % q
+
+
+def _chain(d, k, p, n, cap):
+    """From f^k at least d deep: the last p-power k <= cap whose bound d is < n."""
+    while k * p <= cap and _sen(d, p, k * p) < n:
+        d, k = _sen(d, p, k * p), k * p
+    return d, k
+
+
 def order_mod_truncation(f, cap=None):
     """Least p-power k <= cap with f^k = id mod t^(N+1), or None.
 
@@ -101,13 +114,14 @@ def order_mod_truncation(f, cap=None):
     precision N; the true order in the full group is at least this value
     and can be strictly larger (it is monotone as N grows).
 
-    The loop is decided by the depth d of g = f^k, from two facts: g^p is
-    at least p*d deep (Camina, The Nottingham group, 2000), and reduction
-    mod t^(m+1) is a homomorphism, so g^p mod t^(m+1) = (g mod t^(m+1))^p.
-    As every element at least N deep is t, g^p = t unseen if p*d >= N.  If
-    p^2*d >= N > 2*p*d, g^p is probed at precision 2*p*d: a probe that is
-    not t shows g^p != t while g^(p^2) = t, so the order is k*p^2.
-    Otherwise g^p is taken in full.
+    For g = f^(p^j) of depth d, g^p is at least p*d deep (Camina, The
+    Nottingham group, 2000), and its depth is d mod p^(j+1) (Sen, Ann. of
+    Math. 90, 1969; for power series, Lubin, Proc. AMS 123, 1995): it is at
+    least _sen(d, p, p^(j+1)).  Depths below m are exact mod t^(m+1), and
+    elements N deep are t.  So the chain f, f^p, ... is taken at m one above
+    the bound on the last power that may not be t.  A power that reads t
+    there beat its bound: the chain is taken again at min(N, max(2m, the
+    new bound + 1)).
     """
     if not isinstance(f, GroupElement):
         raise TypeError(f"expected a GroupElement, got {type(f).__name__}")
@@ -115,18 +129,19 @@ def order_mod_truncation(f, cap=None):
     cap = p ** DEFAULT_CAP_EXP if cap is None else cap
     if not _is_int(cap) or cap < 1:
         raise ValueError(f"cap must be a positive int, got {_echo(cap)}")
-    k, g = 1, f
+    d = f.depth()
+    m = n if d > n else _chain(d, 1, p, n, cap)[0] + 1
     while True:
-        d = g.depth()
-        if d > n:
+        k, g = 1, f.truncate(m)
+        while (d := g.depth()) < m:         # the exact depth of f^k
+            if k * p > cap:
+                return None
+            if _sen(d, p, k * p) >= n:
+                return k * p
+            k, g = k * p, g ** p
+        if m == n:
             return k
-        if k * p > cap:
-            return None
-        if p * d >= n:
-            return k * p
-        if p * p * d >= n > 2 * p * d and not (g.truncate(2 * p * d) ** p).is_identity():
-            return k * p * p if k * p * p <= cap else None
-        k, g = k * p, g ** p
+        m = min(n, max(2 * m, _chain(m, k, p, n, cap)[0] + 1))
 
 
 def klopsch_rep(p, m, a, trunc):

@@ -16,7 +16,8 @@ an oracle fast enough for the lengths where the byte-table kernel runs.
 The spread sum for Artin-Schreier roots, the loop the library ran before
 it solved s = f + s(t^2) by doubling, makes no product at all, so it
 stays fast at large N.  naive_order takes every p-th power at full
-precision, where the library decides the last ones from depth.
+precision, where the library takes them at the precision that depth
+bounds predict.
 """
 
 import contextlib
@@ -72,6 +73,12 @@ def random_group_element(rng, p, trunc, depth=None):
         if depth + 1 <= trunc:
             coeffs[depth + 1] = rng.randrange(1, p)
     return GroupElement(Series(p, trunc, coeffs))
+
+
+def sparse_element(rng, p, n):
+    """t plus a few random terms of degree 2..n."""
+    terms = {e: rng.randrange(1, p) for e in rng.sample(range(2, n + 1), min(3, n - 1))}
+    return GroupElement(Series.from_terms(p, n, {1: 1, **terms}))
 
 
 def naive_product(f, g):

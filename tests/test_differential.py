@@ -12,8 +12,8 @@ in-place doubling, powers above N reduce their exponent,
 reciprocals and m-th roots run one Newton routine from half length, reversion
 (above the elimination leaf) runs Newton iteration, klopsch_rep works in
 x = t^m, division by 1 + t over F_2 is a prefix XOR, and truncated orders
-skip or probe the last p-th powers by depth; each is checked
-for bit-equality against an algorithm that does none of that.
+take their p-th powers at the precision depth bounds predict; each is
+checked for bit-equality against an algorithm that does none of that.
 """
 
 import random
@@ -44,6 +44,7 @@ from support import (
     random_one_unit,
     random_series,
     random_unit,
+    sparse_element,
     spread_artin_schreier_root,
     summed_artin_schreier_root,
     unit_exponent,
@@ -804,10 +805,13 @@ def test_pow_digits_match_naive(p):
 @pytest.mark.parametrize("p", (2, 3))
 def test_group_powers_compose_once_per_square_and_product(monkeypatch, p):
     """GroupElement ** k composes bit_length - 1 squares and popcount - 1
-    products of r = k mod p^J, p^J >= N + 1, for k in 1..40, none with the
-    identity, and none for r = 0 (k = 0 and k = 32 at p = 2)."""
+    products of r = k mod f's period, for k in 1..40, none with the
+    identity, and none for r = 0 (k a multiple of 8 at p = 2, of 27 at
+    p = 3).  f has depth 3 at p = 2 and 2 at p = 3, and the depth bounds
+    7, 15, 31 and 8, 26, 80 reach N = 30 at f^8 and f^27."""
     f = random_group_element(random.Random(630 + p), p, 30)
-    period = unit_exponent(p, 30) // (p - 1)
+    assert f.depth() == {2: 3, 3: 2}[p]
+    period = {2: 8, 3: 27}[p]
     calls = []
     monkeypatch.setattr(series, "_compose", lambda *args: calls.append(1) or _compose(*args))
     for k in range(41):
@@ -1004,12 +1008,6 @@ def test_klopsch_rep_matches_unspread_root():
                     root = coefficientwise_nth_root(geometric, m)
                     expected = GroupElement(Series(p, n, [0, *root.coeffs[:n]]))
                     assert klopsch_rep(p, m, a, n) == expected, (p, m, a, n)
-
-
-def sparse_element(rng, p, n):
-    """t plus a few random terms of degree 2..n."""
-    terms = {e: rng.randrange(1, p) for e in rng.sample(range(2, n + 1), min(3, n - 1))}
-    return GroupElement(Series.from_terms(p, n, {1: 1, **terms}))
 
 
 @pytest.mark.parametrize("p", PRIMES)

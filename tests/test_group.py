@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -16,9 +17,10 @@ from nottingham import (
     order_mod_truncation,
     sigma_closed,
 )
-from nottingham.series import Series, _period
+from nottingham.group import _chain, _sen
+from nottingham.series import Series, _ladder, _period
 
-from support import naive_order, random_group_element
+from support import naive_order, random_group_element, sparse_element
 
 
 # ----------------------------------------------------------------------
@@ -164,6 +166,24 @@ def test_power_reduces_k_mod_the_group_order(p, n):
         assert f ** (9 * q + j) == powers[j % q]
 
 
+@pytest.mark.parametrize("p, n", [(2, 40), (3, 30), (5, 60), (7, 20), (257, 12)])
+def test_power_reduces_k_mod_the_element_period(compositions, p, n):
+    # f^k = t once the depth bounds chained from depth(f) reach N, so k is
+    # taken mod that p-power; against f^(k mod p^J), p^J = _period(p, N + 1)
+    rng = random.Random(212)
+    q = _period(p, n + 1)
+    for depth in (None, 1, p, n // 3, n):       # depth n: the identity, period 1
+        f = random_group_element(rng, p, n, depth)
+        d = f.depth()
+        own = 1 if d > n else _chain(d, 1, p, n, math.inf)[1] * p
+        assert q % own == 0
+        compositions.clear()
+        assert f ** (own * 10 ** 40 + 1) == f and compositions == []
+        for k in {j * m + i for m in (own, q) for j in (1, 2, 5) for i in (-1, 0, 1, 2)}:
+            expected = identity(p, n) if k % q == 0 else _ladder(f, k % q, GroupElement.__mul__)
+            assert f ** k == expected, (depth, k)
+
+
 def test_sigma_square_and_fourth_power():
     sigma = sigma_closed(64)
     sq = sigma ** 2
@@ -254,15 +274,16 @@ def test_order_found_when_equal_to_cap():
 
 
 @pytest.mark.parametrize("n, terms, order, composes", [
-    (8, {2: 1}, 9, [6, 6]),                     # the probe f^3 mod t^7 has depth 4
-    (8, {2: 1, 3: 1, 6: 1}, 9, [6, 6, 8, 8]),   # f^3 has depth 7: the probe is t
-    (8, {2: 1, 3: 1}, 3, [6, 6, 8, 8]),         # f^3 = t
-    (9, {2: 1}, 9, [6, 6]),                     # p^2 * d = N: f^9 = t still
-    (6, {2: 1, 3: 1}, 3, [6, 6]),               # 2 * p * d = N: no probe
-    (6, {3: 1}, 3, []),                         # p * d = N: f^3 = t, not computed
+    (8, {2: 1}, 9, [5, 5]),                     # f^3 mod t^6 has depth 4, exact
+    (8, {2: 1, 3: 1, 6: 1}, 9, [5, 5, 8, 8]),   # f^3 has depth 7: t at 5, again at 8
+    (8, {2: 1, 3: 1}, 3, [5, 5, 8, 8]),         # f^3 = t
+    (9, {2: 1}, 9, [5, 5]),                     # bound 13 >= N: f^9 = t still
+    (6, {2: 1, 3: 1}, 3, [5, 5, 6, 6]),         # f^3 = t: again at min(N, 2 * 5)
+    (6, {3: 1}, 3, []),                         # depth 2, bound 8 >= N: f^3 = t, not computed
 ])
 def test_order_decides_the_last_cubes_by_depth(compositions, n, terms, order, composes):
-    # p = 3: each probe is f^3 at precision 2 * p * d = 6, for depth d = 1
+    # p = 3, depth 1: the bounds are _sen(1, 3, 3) = 4 and _sen(4, 3, 9) = 13,
+    # so f^3 is first taken at precision 4 + 1
     f = GroupElement(Series.from_terms(3, n, {1: 1, **terms}))
     assert order_mod_truncation(f, 27) == naive_order(f, 27) == order
     compositions.clear()
@@ -281,15 +302,55 @@ def test_order_when_the_depth_bound_is_attained(p, n, e, order):
     assert order_mod_truncation(f, 64) == naive_order(f, 64) == order
 
 
-def test_order_takes_one_full_power_and_one_probe(compositions):
-    # depth 1 at p = 7, N = 384: f^7 in full (4 compositions), depth 8; then
-    # 7^2 * 8 > 384 > 2 * 7 * 8, so (f^7)^7 is probed mod t^113, depth 57 < 112,
-    # and f^343 = id is never computed
+def test_order_takes_the_chain_once_at_the_predicted_precision(compositions):
+    # depth 1 at p = 7, N = 384: the bounds 8, 57 and 399 >= N put the chain
+    # at precision 58; f^7 and f^49 take 4 compositions each there, f^49 has
+    # depth 57 as predicted, and f^343 = id is never computed
     f = random_group_element(random.Random(210), 7, 384, depth=1)
     assert (f ** 7).depth() == 8
+    assert naive_order(f, 343) == 343
     compositions.clear()
     assert order_mod_truncation(f, 343) == 343
-    assert compositions == [384] * 4 + [112] * 4
+    assert compositions == [58] * 8
+
+
+def test_order_takes_the_chain_again_where_a_bound_is_beaten(compositions):
+    # depth 1 at p = 5, N = 384: the bounds 6, 31, 156 put the chain at 157,
+    # but the depths are 1, 11, 61, 311.  At 157, f^25 has period 5, so f^125
+    # reads t with no composition; from 157 deep the next bound is >= N, and
+    # the chain is taken again at 2 * 157, where f^125 has depth 311 < 314
+    f = random_group_element(random.Random(200), 5, 384, depth=1)
+    assert [(f ** 5 ** j).depth() for j in range(4)] == [1, 11, 61, 311]
+    assert naive_order(f, 625) == 625
+    compositions.clear()
+    assert order_mod_truncation(f, 625) == 625
+    assert compositions == [157] * 6 + [314] * 9
+
+
+def test_depths_of_p_power_chains_obey_camina_and_sen():
+    # for g = f^(p^j) with both depths below N: depth(g^p) >= p * depth(g)
+    # and depth(g^p) = depth(g) mod p^(j+1), so depth(g^p) >= _sen(...);
+    # g^p by _ladder, as ** reduces its exponent by these bounds
+    rng = random.Random(211)
+    checked = 0
+    for p in (2, 3, 5, 7, 11, 257):
+        for n in (rng.randrange(2, 401) for _ in range(8)):
+            elements = [random_group_element(rng, p, n), sparse_element(rng, p, n)]
+            elements += [random_group_element(rng, p, n, depth=rng.randrange(1, n)) for _ in range(2)]
+            for f in elements:
+                g, q = f, p
+                while (d := g.depth()) < n:
+                    g = _ladder(g, p, GroupElement.__mul__)
+                    if g.depth() < n:
+                        assert g.depth() >= p * d and (g.depth() - d) % q == 0, (p, n, d, q)
+                        assert g.depth() >= _sen(d, p, q)
+                        checked += 1
+                    q *= p
+    assert checked > 150, checked
+    for p in (2, 3, 5, 7, 11, 257):
+        for q in (p, p ** 2, p ** 3, p ** 4):
+            bounds = [_sen(d, p, q) for d in range(1, 501)]
+            assert all(a < b for a, b in zip(bounds, bounds[1:])), (p, q)
 
 
 def test_order_cap_validation():
