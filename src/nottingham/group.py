@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NotCoprime, NotNormalized, ZeroParameter
 from .field import _echo, _is_int, check_prime
-from .series import Series, _check_trunc, _ladder, _substitute
+from .series import Series, _check_trunc, _compose, _ladder, _substitute
 
 INFINITE_DEPTH = math.inf
 DEFAULT_CAP_EXP = 6     # order_mod_truncation's cap is p^DEFAULT_CAP_EXP unless given
@@ -61,7 +61,7 @@ class GroupElement:
         k %= 1 if d > self.trunc else _chain(d, 1, self.p, self.trunc, math.inf)[1] * self.p
         if k == 0:
             return GroupElement.identity(self.p, self.trunc)
-        return _ladder(self, k, GroupElement.__mul__)
+        return GroupElement(self.series._new(_ladder(self.series.coeffs, k, lambda f, g: _compose(f[None], g, self.p)[0])))
 
     def inverse(self):
         """The compositional inverse, again a group element."""

@@ -92,13 +92,6 @@ def _red(x, p):
     return x & 1 if p == 2 else x % p
 
 
-def _bits(a, s):
-    """The int with bit k*s equal to a[k], for an array of 0s and 1s."""
-    m = np.zeros(len(a) * s, dtype=np.uint8)
-    m[::s] = a
-    return int.from_bytes(np.packbits(m, bitorder="little").tobytes(), "little")
-
-
 def _table(b):
     """The 256 carry-less products v*b over F_2, v a byte, as rows of bytes,
     for a 0/1 array b: from the pairs (0, b << j), each pass XORs every
@@ -178,10 +171,9 @@ def _conv(a, b, p, n1):
     path _route names, the kernel's only if operands cut at their last 1s
     still take it: high zeros shorten bit slots but not the kernel's work, and
     _inv_root passes a uncut, two coefficients for klopsch_rep's 1 - a*x at p = 2."""
-    rows = a.ndim == 2
-    if not rows and not len(a) >= _KRONECKER <= len(b):      # _route's 0, inline: most products are short
+    if not len(a) >= _KRONECKER <= len(b):      # _route's 0, inline: most products are short
         return _red(np.convolve(a, b)[:n1], p)
-    s = _route(p, min(a.shape[-1], len(b)), rows)
+    s = _route(p, min(len(a), len(b)))
     if s < 0:       # x[::-1].argmax() finds the last 1 of p = 2 residues, if any
         last = [len(x) - 1 - int(x[::-1].argmax()) for x in (a, b)]
         if a[last[0]] and b[last[1]] and _route(p, 1 + min(last)) < 0:
@@ -189,24 +181,62 @@ def _conv(a, b, p, n1):
         s = _route(p, min(len(a), len(b)), True)      # a row product's bit slots
     if not s:
         return _red(np.convolve(a, b)[:n1], p)
-    dt = np.uint8 if p == 2 else f"<u{s // 8}"
-    if rows:        # row i from slot i*(m + len(b) - 1), past its product's end
-        r, m = a.shape
-        x = np.zeros((r, m + len(b) - 1), dt)
-        x[:, :m] = a
-        a = x.ravel()
-    count = len(a) if rows else n1
-    if p == 2:
-        x = _bits(a, s) * _bits(b, s)
-        c = np.frombuffer(x.to_bytes(((len(a) + len(b)) * s + 7) // 8, "little"), np.uint8)
-        c = np.unpackbits(c, count=count * s, bitorder="little")[::s]
-    else:
-        x = int.from_bytes(a.astype(dt, copy=False).tobytes(), "little")
-        x *= x if b is a else int.from_bytes(b.astype(dt).tobytes(), "little")
-        c = np.frombuffer(x.to_bytes((len(a) + len(b)) * s // 8, "little"), dt, count=count)
-    if rows:
-        c = c.reshape(r, -1)[:, :n1]
+    x = _pack(a, s, p)
+    c = _unpack(x * (x if b is a else _pack(b, s, p)), s, p, n1)
     return (c if p == 2 else c % p).astype(_DT)
+
+
+def _pack(a, s, p):
+    """Kronecker substitution: the int with a[k] in its s-bit slot k, for a
+    1-D array of residues; at p = 2 by packbits of one uint8 per bit."""
+    if p != 2:
+        return int.from_bytes(a.astype(f"<u{s // 8}", copy=False).tobytes(), "little")
+    m = np.zeros((len(a), s), np.uint8)
+    m[:, 0] = a
+    return int.from_bytes(np.packbits(m, bitorder="little").tobytes(), "little")
+
+
+def _unpack(x, s, p, count):
+    """The first count s-bit slots of the int x, in the slot dtype; at p = 2 their low bits."""
+    c = x.to_bytes((max(x.bit_length(), count * s) + 7) // 8, "little")
+    if p == 2:
+        return np.unpackbits(np.frombuffer(c, np.uint8), count=count * s, bitorder="little")[::s]
+    return np.frombuffer(c, f"<u{s // 8}", count=count)
+
+
+def _horner(terms, b, p, n1, at=slice(None)):
+    """Horner by b mod t^n1 on r rows: acc[:, at] is the first (r, k) array
+    of residues in terms, then acc <- acc*b and acc[:, at] += x mod p for
+    each next x; returns acc, maybe unsigned.  One row that _route gives
+    np.convolve takes it; else b is packed once and acc stays in its slots
+    (as _pack lays them out), rows 2*n1 - 1 slots apart."""
+    first = next(terms := iter(terms))
+    r, b = len(first), b[:n1]
+    s = _route(p, n1, True) if r > 1 or _route(p, n1) else 0
+    if not s:
+        acc = _zeros((1, n1))
+        acc[:, at] = first
+        for x in terms:
+            acc = np.convolve(acc[0], b)[None, :n1]
+            acc[:, at] += x
+            acc = _red(acc, p)
+        return acc
+    w, y = n1 + len(b) - 1, _pack(b, s, p)
+    slots = np.zeros((r, w, s), np.uint8) if p == 2 else np.zeros((r, w), f"<u{s // 8}")
+    v = slots[:, :n1, 0] if p == 2 else slots[:, :n1]
+    va = v[:, at]
+    va[:] = first
+    for x in terms:
+        z = int.from_bytes((np.packbits(slots, bitorder="little") if p == 2 else slots).tobytes(), "little")
+        c, x = _unpack(z * y, s, p, r * w).reshape(r, w)[:, :n1], x.astype(v.dtype, copy=False)
+        if p == 2:      # bits: no sum to reduce
+            v[:] = c
+            va ^= x
+        else:
+            np.remainder(c, p, out=v)
+            va += x     # residues: below 2p
+            np.remainder(va, p, out=va)
+    return v
 
 
 def _mul(a, b, p):
@@ -226,15 +256,6 @@ def _mul(a, b, p):
         c = _conv(x, y, p, min(n1 - v, len(x) + len(y) - 1))
         out[v:v + len(c)] = c
     return out
-
-
-def _mul_rows(rows, g, p):
-    """rows[i]*g mod t^n1 for each row of an (r, n1) array, by one _conv; a
-    single row by a 1-D _conv, or as a multiple of g if it is constant."""
-    r, n1 = rows.shape
-    if r == 1 and not rows[0, 1:].any():
-        return _red(rows[:, :1] * g[:n1], p)
-    return _conv(rows if r > 1 else rows[0], g[:n1], p, n1).reshape(r, n1)
 
 
 def _substitute(a, q, n1):
@@ -306,12 +327,13 @@ def _compose(f, g, p):
     f[k::p^K], in row k*r + s for f[s]: the q*r leaf rows (at most _TWIG
     coefficients, or p^2 > L: the roots alone) are one matrix for the block
     ladder, blocks of m = min(L, isqrt(q*r*L)) coefficients against the rows
-    g^0, ..., g^m (g^j one _conv from t^j on, as g(0) = 0), Horner in g^m
-    when m < L.  Each level up is p - 1 row products by g, child i into [::p];
-    if _route gives the top level's r*n1 coefficients the kernel, the levels
-    run on bit-packed rows and one _table of g: a level of n coefficients
-    spreads its children by _SPREAD and _gathers the odd one in ceil(n/8)
-    bytes, leaving a row's bits at or above n, which later levels only raise."""
+    g^0, ..., g^m (g^j one _conv from t^j on, as g(0) = 0, or a spread if p
+    divides j), _horner in g^m when m < L.  Each level up is _horner by g,
+    child i into [::p]; if _route gives the top level's r*n1 coefficients
+    the kernel, the levels run on bit-packed rows and one _table of g: a
+    level of n coefficients spreads its children by _SPREAD and _gathers the
+    odd one in ceil(n/8) bytes, leaving bits at or above n, which later
+    levels only raise."""
     r, *lens = f.shape          # lens: the lengths of each level's nodes, from the roots
     while lens[-1] > _TWIG and p * p <= lens[-1]:
         lens.append((lens[-1] - 1) // p + 1)
@@ -321,13 +343,15 @@ def _compose(f, g, p):
     pows = _zeros((m + 1, n1))
     pows[0, 0] = 1
     for j in range(1, min(m + 1, n1)):          # g^j = 0 mod t^n1 for j >= n1
-        pows[j, j:] = _conv(pows[j - 1, j - 1:-1], g[1:n1 - j + 1], p, n1 - j)
+        if j % p:
+            pows[j, j:] = _conv(pows[j - 1, j - 1:-1], g[1:n1 - j + 1], p, n1 - j)
+        else:       # g^j = g^(j/p)(t^p)
+            pows[j, ::p] = pows[j // p, :(n1 - 1) // p + 1]
     nb = -(-n1 // m)            # blocks per leaf
     leaves = np.concatenate([f, _zeros((r, q * nb * m - f.shape[1]))], axis=1)
     leaves = leaves.reshape(r, nb * m, q).transpose(2, 0, 1).reshape(q * r, nb * m)
-    acc = _red(leaves[:, -m:] @ pows[:m], p)
-    for i in reversed(range(nb - 1)):
-        acc = _red(_mul_rows(acc, pows[m], p) + leaves[:, i * m:(i + 1) * m] @ pows[:m], p)
+    blocks = (_red(leaves[:, i * m:(i + 1) * m] @ pows[:m], p) for i in reversed(range(nb)))
+    acc = _horner(blocks, pows[m], p, n1) if nb > 1 else next(blocks)
     if _route(p, r * f.shape[1]) < 0:
         table = _table(g)
         acc = np.packbits(acc.astype(np.uint8), axis=1, bitorder="little")
@@ -337,12 +361,8 @@ def _compose(f, g, p):
         return np.unpackbits(acc, axis=1, count=lens[0], bitorder="little").astype(_DT)
     for n in reversed(lens):
         child = acc.reshape(p, -1, acc.shape[1])    # child i of row k*r + s: row (i*nodes + k)*r + s
-        acc = _zeros((child.shape[1], n))
-        acc[:, ::p] = child[p - 1]
-        for i in reversed(range(p - 1)):
-            acc = _mul_rows(acc, g, p)
-            acc[:, ::p] = _red(acc[:, ::p] + child[i], p)
-    return acc
+        acc = _horner(child[::-1], g, p, n, np.s_[::p])
+    return acc.astype(_DT)
 
 
 def _compose_all(fs, g):

@@ -21,12 +21,12 @@ import random
 import numpy as np
 import pytest
 
-from nottingham import BadRoot, MismatchedContext, NonzeroConstant, WrongCharacteristic, series
+from nottingham import BadRoot, MismatchedContext, NonzeroConstant, WrongCharacteristic, group, series
 from nottingham.group import GroupElement, klopsch_rep, order_mod_truncation
 from nottingham.order4 import _r, sigma_closed
 from nottingham.series import (
-    _CLMUL, _KRONECKER, _LEAF, _SPREAD, _TWIG, Series, _bits, _clmul, _compose, _compose_all, _conv,
-    _eliminate, _gather, _inv_root, _mul, _mul_rows, _pow, _route, _substitute)
+    _CLMUL, _KRONECKER, _LEAF, _SPREAD, _TWIG, Series, _clmul, _compose, _compose_all, _conv,
+    _eliminate, _gather, _horner, _inv_root, _mul, _pack, _pow, _route, _substitute)
 
 from support import (
     coefficientwise_nth_root,
@@ -72,6 +72,16 @@ def branchy_outer(rng, p, n):
 # 16-bit slots at p = 3, 5, 7, 32-bit slots (crossover 2^3 times higher) at
 # p = 257.
 CROSSOVER = {p: _KRONECKER * (8 if p == 257 else 1) for p in PRIMES}
+
+
+def rows_times(rows, b, p, n1=None):
+    """The first n1 coefficients (default: the row length) of each row times
+    b: one _horner step, on the rows cut or padded with zeros to n1, with a
+    zero addend."""
+    n1 = rows.shape[1] if n1 is None else n1
+    a = np.zeros((len(rows), n1), dtype=np.int64)
+    a[:, :min(n1, rows.shape[1])] = rows[:, :n1]
+    return _horner([a, 0 * a], b, p, n1).astype(np.int64)
 
 
 def residues(rng, p, n):
@@ -131,11 +141,11 @@ SLOT_SWITCHES = [(2, 65535), (2, 65536), (3, 16383), (3, 16384), (5, 4095), (5, 
 def test_conv_worst_case_fills_its_slots(p, n):
     """All entries p-1: coefficient k < n of the square is (k+1)(p-1)^2,
     the largest value a slot must hold, and (k+1) mod p.  One row goes
-    through _mul to this same _conv; two rows take the packed product."""
+    through _mul to this same _conv; two rows take _horner's packed product."""
     a = np.full(n, p - 1, dtype=np.int64)
     want = np.arange(1, n + 1) % p
     assert np.array_equal(_conv(a, a, p, n), want)
-    assert np.array_equal(_mul_rows(np.stack([a, a]), a, p), np.stack([want, want]))
+    assert np.array_equal(rows_times(np.stack([a, a]), a, p), np.stack([want, want]))
 
 
 @pytest.mark.parametrize("n", [2 ** k - d for k in (7, 8, 11, 12) for d in (1, 0)])
@@ -146,11 +156,11 @@ def test_bit_slots_hold_all_ones_squares(n):
     a = np.ones(n, dtype=np.int64)
     want = np.convolve(a, a) % 2
     assert np.array_equal(_conv(a, a, 2, 2 * n - 1), want)
-    assert np.array_equal(_mul_rows(np.stack([a, a]), a, 2), np.stack([want[:n], want[:n]]))
+    assert np.array_equal(rows_times(np.stack([a, a]), a, 2), np.stack([want[:n], want[:n]]))
 
 
 def test_bit_slots_at_the_composition_leaf_shape():
-    """r rows of n1 against g through the 2-D row path, whole and truncated:
+    """r rows of n1 against g through _horner's row product, whole and truncated:
     (128, 17), packed to 4,224 slots, is the deepest level's row product of
     composition at N = 2048 (leaves of 9 coefficients); (32, 65) packs to
     4,128 slots."""
@@ -160,8 +170,7 @@ def test_bit_slots_at_the_composition_leaf_shape():
         full = np.array([np.convolve(row, g) % 2 for row in rows])
         assert full.shape == (r, 2 * n1 - 1)
         for k in (2 * n1 - 1, n1, 1):
-            assert np.array_equal(_conv(rows, g, 2, k), full[:, :k]), (r, n1, k)
-        assert np.array_equal(_mul_rows(rows, g, 2), full[:, :n1]), (r, n1)
+            assert np.array_equal(rows_times(rows, g, 2, k), full[:, :k]), (r, n1, k)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -179,8 +188,8 @@ def test_squares_match_products_of_a_copy(p):
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_mul_rows_matches_per_row_mul(p):
-    """The packed row product against _mul on each row: distinct rows, a
-    row with a valuation and a zero row, 1 to 27 rows, around the crossover."""
+    """_horner's row product against _mul on each row: distinct rows, a row
+    with a valuation and a zero row, 1 to 27 rows, around the crossover."""
     rng = random.Random(490 + p)
     for n1 in (1, 2, 43, CROSSOVER[p] - 1, CROSSOVER[p] + 1, 300):
         for r in (1, 2, 27):
@@ -191,14 +200,15 @@ def test_mul_rows_matches_per_row_mul(p):
             g = residues(rng, p, n1 + 3)
             g[0] = 0
             want = np.array([_mul(row, g, p) for row in rows])
-            assert np.array_equal(_mul_rows(rows, g, p), want), (p, n1, r)
+            assert np.array_equal(rows_times(rows, g, p), want), (p, n1, r)
 
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_mul_rows_on_one_row(p):
-    """A single row with a valuation, zero, or a constant c (a multiple of
-    g, no product), against one convolution; at p = 2 the longest row is
-    past the byte-table kernel's crossover."""
+    """A single row with a valuation, zero, or a constant c, through
+    _horner against one convolution: np.convolve below the crossover, bit
+    or byte slots above it; at p = 2 the longest row is past the byte-table
+    kernel's crossover, where one row takes bit slots."""
     rng = random.Random(495 + p)
     for n1 in (1, 2, 17, CROSSOVER[p] - 1, CROSSOVER[p] + 1, _CLMUL + 60):
         g = residues(rng, p, n1 + 3)
@@ -208,14 +218,14 @@ def test_mul_rows_on_one_row(p):
         constants = [np.eye(1, n1, dtype=np.int64)[0] * c for c in sorted({0, 1, p - 1})]
         for row in [shifted] + constants:
             want = convolve_product(Series(p, n1 - 1, row), Series(p, n1 - 1, g[:n1])).coeffs
-            assert np.array_equal(_mul_rows(row[None], g, p), want[None]), (p, n1, row[:3])
+            assert np.array_equal(rows_times(row[None], g, p), want[None]), (p, n1, row[:3])
 
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_conv_rows_hold_the_whole_row_product(p):
-    """Rows sit m + len(b) - 1 slots apart, so each row's full product
-    fits before the next: b shorter and longer than the rows, n1 up to
-    the full product, 1 to 5 rows, all entries p - 1 and random."""
+    """_horner's rows sit n1 + len(b) - 1 slots apart, so each row's
+    product fits before the next: b shorter and longer than the rows, n1 up
+    to the full product, 1 to 5 rows, all entries p - 1 and random."""
     rng = random.Random(497 + p)
     for m in (1, 9, 40):
         for lb in (max(1, m - 5), m, m + 7):
@@ -225,7 +235,7 @@ def test_conv_rows_hold_the_whole_row_product(p):
                              (np.array([residues(rng, p, m) for _ in range(r)]), residues(rng, p, lb))):
                     for n1 in {1, m, m + lb - 1}:
                         want = np.array([np.convolve(row, b)[:n1] % p for row in a])
-                        assert np.array_equal(_conv(a, b, p, n1), want), (p, m, lb, r, n1)
+                        assert np.array_equal(rows_times(a, b, p, n1), want), (p, m, lb, r, n1)
 
 
 def bits(rng, *shape):
@@ -293,9 +303,9 @@ def test_mul_rows_at_the_walk_crossover_shapes():
             rows[-1] = 0
         g = bits(rng, m + 5)
         g[0] = 0
-        assert np.array_equal(_mul_rows(rows, g, 2), convolve_rows(rows, g, m)), (r, m)
+        assert np.array_equal(rows_times(rows, g, 2), convolve_rows(rows, g, m)), (r, m)
         ones = np.ones((r, m), dtype=np.int64)
-        assert np.array_equal(_mul_rows(ones, g, 2), convolve_rows(ones, g, m)), (r, m)
+        assert np.array_equal(rows_times(ones, g, 2), convolve_rows(ones, g, m)), (r, m)
 
 
 def test_kernel_skips_units_two_coefficients_long(monkeypatch):
@@ -331,8 +341,8 @@ def test_conv_routes_to_the_byte_table_kernel(monkeypatch):
                  (2, _CLMUL // 2), (2, _CLMUL // 2 - 1)):
         calls.clear()
         rows = np.ones((r, m), dtype=np.int64)
-        _mul_rows(rows, ones, 2)
-        _mul_rows(rows, ones, 3)
+        rows_times(rows, ones, 2)
+        rows_times(rows, ones, 3)
         assert calls == [], (r, m)
 
 
@@ -380,19 +390,17 @@ def test_route_is_np_convolve_below_kronecker():
 
 def test_conv_runs_the_path_route_names(monkeypatch):
     """At each edge of ROUTE_EDGES up to n = 16385, 1-D (n against n + 3,
-    both ways round) and as two rows against n, no entry zero, the first
-    kernel _conv calls is the one _route names: _clmul, np.convolve, _bits
-    with its slot bits at p = 2, or np.frombuffer with its slot dtype.  An
-    operand cut by high zeros below _CLMUL, to bit slots or below
-    _KRONECKER, keeps the bit slots of the uncut length."""
+    both ways round, by _conv) and as two rows against n (by _horner), no
+    entry zero, the first kernel run is the one _route names: _clmul,
+    np.convolve, or _pack with its slot bits.  An operand cut by high zeros
+    below _CLMUL, to bit slots or below _KRONECKER, keeps the bit slots of
+    the uncut length."""
     rng = np.random.default_rng(545)
     ran = []
-    convolve, frombuffer = np.convolve, np.frombuffer
+    convolve = np.convolve
     monkeypatch.setattr(series, "_clmul", lambda *args: ran.append(-1) or _clmul(*args))
-    monkeypatch.setattr(series, "_bits", lambda a, s: ran.append(s) or _bits(a, s))
+    monkeypatch.setattr(series, "_pack", lambda a, s, p: ran.append(s) or _pack(a, s, p))
     monkeypatch.setattr(np, "convolve", lambda a, b: ran.append(0) or convolve(a, b))
-    monkeypatch.setattr(np, "frombuffer", lambda buf, dt, **kw: ran.append(8 * np.dtype(dt).itemsize)
-                        or frombuffer(buf, dt, **kw))
     edges = [(p, n, flat, rows) for (p, n), (flat, rows) in ROUTE_EDGES.items() if n <= 16385]
     cases = [(p, rng.integers(1, p, n + d), rng.integers(1, p, n + 3 - d), flat)
              for p, n, flat, _ in edges for d in (0, 3)]
@@ -401,7 +409,7 @@ def test_conv_runs_the_path_route_names(monkeypatch):
         cases += [(2, np.eye(1, 1024, e, dtype=np.int64)[0], np.ones(1025, dtype=np.int64), 11)]
     for p, a, b, want in cases:
         ran.clear()
-        _conv(a, b, p, a.shape[-1])
+        _conv(a, b, p, len(a)) if a.ndim == 1 else rows_times(a, b, p)
         assert ran[0] == want, (p, a.shape, want, ran[:3])
 
 
@@ -413,7 +421,7 @@ def test_clmul_around_a_block_edge(n):
     a, b = bits(rng, n), bits(rng, n)
     for n1 in (n, 2 * n - 1, n - 9):
         assert np.array_equal(_conv(a, b, 2, n1), np.convolve(a, b)[:n1] % 2), n1
-    assert np.array_equal(_mul_rows(np.stack([a, b]), b, 2), convolve_rows([a, b], b, n))
+    assert np.array_equal(rows_times(np.stack([a, b]), b, 2), convolve_rows([a, b], b, n))
 
 
 def test_clmul_at_2_16_plus_1(monkeypatch):
@@ -429,7 +437,7 @@ def test_clmul_at_2_16_plus_1(monkeypatch):
     assert np.array_equal(_conv(ones, ones, 2, 2 * n - 1),
                           np.minimum(k + 1, 2 * n - 1 - k) % 2)
     assert np.array_equal(_conv(a, ones, 2, n), np.cumsum(a) % 2)
-    assert np.array_equal(_mul_rows(np.stack([a, b])[:, :n // 2], ones, 2),
+    assert np.array_equal(rows_times(np.stack([a, b])[:, :n // 2], ones, 2),
                           np.stack([np.cumsum(a[:n // 2]) % 2, np.cumsum(b[:n // 2]) % 2]))
     got = _mul(a, b, 2)
     monkeypatch.setattr(series, "_CLMUL", 2 * n)
@@ -617,21 +625,21 @@ def test_spread_table_is_the_substitution():
 
 
 def test_certificate_walks_packed_and_group_ops_do_not(monkeypatch):
-    """run_checks at N = 2048 makes no p = 2 row product: both its walks go
-    packed, gathering by g's table.  A p = 2 composition at N = 384 (as in
-    group_ops) keeps its int64 walk and gathers nothing, and a stack goes
-    packed exactly where r*L >= _CLMUL."""
+    """run_checks at N = 2048 makes no p = 2 row product (_horner): both its
+    walks go packed, gathering by g's table.  A p = 2 composition at N = 384
+    (as in group_ops) keeps its int64 walk and gathers nothing, and a stack
+    goes packed exactly where r*L >= _CLMUL."""
     from nottingham.order4 import run_checks, sigma_bundle
     bundle = sigma_bundle(2048)
-    shapes, gathers = [], []
-    monkeypatch.setattr(series, "_conv", lambda a, b, p, n1: shapes.append((a.ndim, p)) or _conv(a, b, p, n1))
+    primes, gathers = [], []
+    monkeypatch.setattr(series, "_horner", lambda terms, b, p, *args: primes.append(p) or _horner(terms, b, p, *args))
     monkeypatch.setattr(series, "_gather", lambda *args: gathers.append(1) or _gather(*args))
     run_checks(bundle)
-    assert (2, 2) not in shapes and gathers
+    assert 2 not in primes and gathers
     rng = random.Random(449)
-    shapes.clear(), gathers.clear()
+    primes.clear(), gathers.clear()
     random_series(rng, 2, 384).compose(random_no_constant(rng, 2, 384))
-    assert (2, 2) in shapes and not gathers
+    assert 2 in primes and not gathers
     for r, L in WALK_EDGES:
         gathers.clear()
         _compose(np.ones((r, L), dtype=np.int64), random_no_constant(rng, 2, L - 1).coeffs, 2)
@@ -813,7 +821,7 @@ def test_group_powers_compose_once_per_square_and_product(monkeypatch, p):
     assert f.depth() == {2: 3, 3: 2}[p]
     period = {2: 8, 3: 27}[p]
     calls = []
-    monkeypatch.setattr(series, "_compose", lambda *args: calls.append(1) or _compose(*args))
+    monkeypatch.setattr(group, "_compose", lambda *args: calls.append(1) or _compose(*args))
     for k in range(41):
         calls.clear()
         f ** k

@@ -17,6 +17,7 @@ from nottingham import (
     order_mod_truncation,
     sigma_closed,
 )
+from nottingham import group
 from nottingham.group import _chain, _sen
 from nottingham.series import Series, _ladder, _period
 
@@ -80,15 +81,22 @@ def test_power_basics():
 
 @pytest.fixture
 def compositions(monkeypatch):
-    """A list that gains one entry per Series.compose call: its precision."""
+    """A list that gains one entry per composition, its precision: each
+    Series.compose call (the group law) and each _compose call of a group
+    power, which composes coefficient arrays."""
     calls = []
-    compose = Series.compose
+    compose, compose_arrays = Series.compose, group._compose
 
     def counting(self, other):
         calls.append(self.trunc)
         return compose(self, other)
 
+    def counting_arrays(f, g, p):
+        calls.append(f.shape[1] - 1)
+        return compose_arrays(f, g, p)
+
     monkeypatch.setattr(Series, "compose", counting)
+    monkeypatch.setattr(group, "_compose", counting_arrays)
     return calls
 
 
