@@ -61,7 +61,8 @@ class GroupElement:
         k %= 1 if d > self.trunc else _chain(d, 1, self.p, self.trunc, math.inf)[1] * self.p
         if k == 0:
             return GroupElement.identity(self.p, self.trunc)
-        return GroupElement(self.series._new(_ladder(self.series.coeffs, k, lambda f, g: _compose(f[None], g, self.p)[0])))
+        p, c = self.p, self.series.coeffs
+        return GroupElement(self.series._new(_ladder(c, k, lambda f, g: _compose(f[None], g, p)[0])))
 
     def inverse(self):
         """The compositional inverse, again a group element."""
@@ -120,8 +121,8 @@ def order_mod_truncation(f, cap=None):
     least _sen(d, p, p^(j+1)).  Depths below m are exact mod t^(m+1), and
     elements N deep are t.  So the chain f, f^p, ... is taken at m one above
     the bound on the last power that may not be t.  A power that reads t
-    there beat its bound: the chain is taken again at min(N, max(2m, the
-    new bound + 1)).
+    there beat its bound: the chain is taken again at min(N, max(c*m, the
+    new bound + 1)), c = 2, or 4 at p = 2, where bounds are beaten most.
     """
     if not isinstance(f, GroupElement):
         raise TypeError(f"expected a GroupElement, got {type(f).__name__}")
@@ -141,7 +142,7 @@ def order_mod_truncation(f, cap=None):
             k, g = k * p, g ** p
         if m == n:
             return k
-        m = min(n, max(2 * m, _chain(m, k, p, n, cap)[0] + 1))
+        m = min(n, max((4 if p == 2 else 2) * m, _chain(m, k, p, n, cap)[0] + 1))
 
 
 def klopsch_rep(p, m, a, trunc):

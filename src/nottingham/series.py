@@ -9,18 +9,18 @@ the only way to lower precision.
 
 All arithmetic is exact integer arithmetic; nothing here touches floating
 point.  A product is one _conv, on the path _route names from the shorter
-operand's length: an int64 convolution, Kronecker substitution (one big-int
-product of packed coefficients, a bit per coefficient at p = 2, else byte
-slots) or, at p = 2, a carry-less byte-table kernel (_table, then _gather).
-Over F_p, f(t)^p = f(t^p) is a spread, which powers (every base-p digit of k
-past the lowest), p = 2 squares, Artin-Schreier roots and composition use.
+operand's length: an int64 convolution, Kronecker substitution (_pack, one
+big-int product, _unpack; a bit per coefficient at p = 2, else byte slots)
+or, at p = 2, a carry-less byte-table kernel (_table, then _gather).  Over
+F_p, f(t)^p = f(t^p) is a spread, which powers, p = 2 squares,
+Artin-Schreier roots and composition's ladder (g^(p*i) = g^i(t^p)) use.
 Composition is Bernstein's Frobenius split, O(p*M(N)*log_p N) for M(N) one
-product's cost, one tree level at a time and for a stack of outer series at
-once: a block ladder sized by its leaf rows evaluates all leaves (at most
-_TWIG coefficients) as rows of a matrix, a level's rows multiply by g in one
-_conv, on bit-packed rows and one byte table of g from the leaves to the
-root if _route gives the top level the kernel.  Reciprocals and m-th roots
-(_inv_root, u^m one _pow) and reversion (down to _LEAF) are Newton doubling.
+product's cost, a tree level at a time, for a stack of outer series at once:
+a block ladder evaluates all leaves (at most _TWIG coefficients) as rows of
+a matrix, and each level is one _horner chain, p - 1 row products by g
+packed once, the rows kept in their slots (at p = 2 on bit-packed rows and
+a byte table of g if _route gives the top level the kernel).  Reciprocals,
+m-th roots (_inv_root) and reversion (down to _LEAF) are Newton doubling.
 
 Values are immutable after construction and every operation is a pure
 function of its inputs, so Series objects are safe to share across threads.
@@ -167,10 +167,10 @@ def _route(p, n, rows=False):
 
 def _conv(a, b, p, n1):
     """The first n1 < len(a) + len(b) coefficients of a*b mod p, for arrays of
-    canonical residues, or of each row times b for an (r, m) array a, by the
-    path _route names, the kernel's only if operands cut at their last 1s
-    still take it: high zeros shorten bit slots but not the kernel's work, and
-    _inv_root passes a uncut, two coefficients for klopsch_rep's 1 - a*x at p = 2."""
+    canonical residues, by the path _route names, the kernel's only if
+    operands cut at their last 1s still take it: high zeros shorten bit slots
+    but not the kernel's work, and _inv_root passes a uncut, two coefficients
+    for klopsch_rep's 1 - a*x at p = 2."""
     if not len(a) >= _KRONECKER <= len(b):      # _route's 0, inline: most products are short
         return _red(np.convolve(a, b)[:n1], p)
     s = _route(p, min(len(a), len(b)))
@@ -199,17 +199,16 @@ def _pack(a, s, p):
 def _unpack(x, s, p, count):
     """The first count s-bit slots of the int x, in the slot dtype; at p = 2 their low bits."""
     c = x.to_bytes((max(x.bit_length(), count * s) + 7) // 8, "little")
-    if p == 2:
-        return np.unpackbits(np.frombuffer(c, np.uint8), count=count * s, bitorder="little")[::s]
-    return np.frombuffer(c, f"<u{s // 8}", count=count)
+    return (np.unpackbits(np.frombuffer(c, np.uint8), count=count * s, bitorder="little")[::s] if p == 2
+            else np.frombuffer(c, f"<u{s // 8}", count=count))
 
 
 def _horner(terms, b, p, n1, at=slice(None)):
     """Horner by b mod t^n1 on r rows: acc[:, at] is the first (r, k) array
     of residues in terms, then acc <- acc*b and acc[:, at] += x mod p for
-    each next x; returns acc, maybe unsigned.  One row that _route gives
-    np.convolve takes it; else b is packed once and acc stays in its slots
-    (as _pack lays them out), rows 2*n1 - 1 slots apart."""
+    each next x; returns acc, maybe unsigned.  One row _route gives
+    np.convolve takes it; else b is packed once and acc stays in _pack's
+    slots, rows n1 + len(b) - 1 apart."""
     first = next(terms := iter(terms))
     r, b = len(first), b[:n1]
     s = _route(p, n1, True) if r > 1 or _route(p, n1) else 0
@@ -326,22 +325,20 @@ def _compose(f, g, p):
     g^i f_i(g)^p, each f_i(g) at precision N//p.  Node k of level K is
     f[k::p^K], in row k*r + s for f[s]: the q*r leaf rows (at most _TWIG
     coefficients, or p^2 > L: the roots alone) are one matrix for the block
-    ladder, blocks of m = min(L, isqrt(q*r*L)) coefficients against the rows
-    g^0, ..., g^m (g^j one _conv from t^j on, as g(0) = 0, or a spread if p
-    divides j), _horner in g^m when m < L.  Each level up is _horner by g,
-    child i into [::p]; if _route gives the top level's r*n1 coefficients
-    the kernel, the levels run on bit-packed rows and one _table of g: a
-    level of n coefficients spreads its children by _SPREAD and _gathers the
-    odd one in ceil(n/8) bytes, leaving bits at or above n, which later
-    levels only raise."""
+    ladder, blocks of m = min(L, isqrt(q*r*L)) against g^0, ..., g^m (g^j one
+    _conv from t^j on, as g(0) = 0, or the spread g^(j/p)(t^p)), _horner in
+    g^m when m < L.  Each level up is _horner by g, child i into [::p]; if
+    _route gives the top level's r*n1 coefficients the kernel, the levels run
+    on bit-packed rows and one _table of g: a level of n coefficients spreads
+    its children by _SPREAD and _gathers the odd one in ceil(n/8) bytes,
+    leaving a row's bits at or above n, which later levels only raise."""
     r, *lens = f.shape          # lens: the lengths of each level's nodes, from the roots
     while lens[-1] > _TWIG and p * p <= lens[-1]:
         lens.append((lens[-1] - 1) // p + 1)
     n1 = lens.pop()
     q = p ** len(lens)          # leaves per outer series; leaf k of f[s] is f[s, k::q]
     m = max(1, min(n1, math.isqrt(q * r * n1)))     # m ladder products balance n1/m of q*r rows
-    pows = _zeros((m + 1, n1))
-    pows[0, 0] = 1
+    pows = np.eye(m + 1, n1, dtype=_DT)         # g^0 = 1; rows 0 < j < n1 are set below
     for j in range(1, min(m + 1, n1)):          # g^j = 0 mod t^n1 for j >= n1
         if j % p:
             pows[j, j:] = _conv(pows[j - 1, j - 1:-1], g[1:n1 - j + 1], p, n1 - j)
@@ -359,9 +356,8 @@ def _compose(f, g, p):
             child = _SPREAD[acc.reshape(2, -1, acc.shape[1])].view(np.uint8)[..., :(n + 7) // 8]
             acc = _gather(child[1], table, n) ^ child[0]
         return np.unpackbits(acc, axis=1, count=lens[0], bitorder="little").astype(_DT)
-    for n in reversed(lens):
-        child = acc.reshape(p, -1, acc.shape[1])    # child i of row k*r + s: row (i*nodes + k)*r + s
-        acc = _horner(child[::-1], g, p, n, np.s_[::p])
+    for n in reversed(lens):        # child i of row k*r + s: row (i*nodes + k)*r + s
+        acc = _horner(acc.reshape(p, -1, acc.shape[1])[::-1], g, p, n, np.s_[::p])
     return acc.astype(_DT)
 
 

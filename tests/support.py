@@ -4,7 +4,8 @@ Every generator takes an explicit random.Random so each test controls its
 own seed.  naive_product is a reference oracle: a plain double loop over
 Python ints, deliberately independent of the numpy kernel it checks.  The
 other oracles are the slow, obvious algorithms the library no longer runs
-(or runs only below a leaf size): the Horner ladder for composition,
+(or runs only below a leaf size): the Horner ladder for composition, the
+row-by-row Horner rule and the block ladder with sequential powers,
 degree-by-degree elimination for reversion, the plain-squaring sum for
 Artin-Schreier roots and the coefficient-at-a-time m-th root.  They
 multiply with convolve_product, one int64 convolution, which is the
@@ -134,6 +135,41 @@ def horner_compose(f, g):
     for k in range(n - 1, -1, -1):
         acc = Series(p, n, np.convolve(acc.coeffs, tail)[:n + 1] % p) + f[k]
     return acc
+
+
+def horner_rows(terms, b, p, n1, at=slice(None)):
+    """Horner's rule by b mod t^n1 on each row on its own: acc[at] starts as
+    the row of the first array of terms, then acc <- acc*b by
+    convolve_product and acc[at] += x for each next array x; the oracle for
+    series._horner."""
+    terms = [np.asarray(x, dtype=np.int64) for x in terms]
+    b = Series(p, n1 - 1, np.asarray(b)[:n1])
+    out = np.zeros((len(terms[0]), n1), dtype=np.int64)
+    for i, acc in enumerate(out):
+        acc[at] = terms[0][i]
+        for x in terms[1:]:
+            acc[:] = convolve_product(Series(p, n1 - 1, acc), b).coeffs
+            acc[at] = (acc[at] + x[i]) % p
+    return out
+
+
+def block_ladder(f, g, m):
+    """(f(g), [g^0, ..., g^m]) by the block ladder with every power one
+    convolve_product after the last: each block of m coefficients of f is
+    summed against g^0, ..., g^(m-1), and the blocks are joined by Horner's
+    rule in g^m; the oracle for composition's leaf evaluation, whose ladder
+    takes g^(p*i) as the spread g^i(t^p)."""
+    p, n = f.p, f.trunc
+    pows = [Series.one(p, n)]
+    for _ in range(m):
+        pows.append(convolve_product(pows[-1], g))
+    acc = Series.zero(p, n)
+    for i in reversed(range(0, n + 1, m)):
+        block = Series.zero(p, n)
+        for j in range(min(m, n + 1 - i)):
+            block = block + pows[j] * f[i + j]
+        acc = convolve_product(acc, pows[m]) + block
+    return acc, pows
 
 
 def eliminate_reversion(f):

@@ -16,6 +16,7 @@ take their p-th powers at the precision depth bounds predict; each is
 checked for bit-equality against an algorithm that does none of that.
 """
 
+import math
 import random
 
 import numpy as np
@@ -29,11 +30,13 @@ from nottingham.series import (
     _eliminate, _gather, _horner, _inv_root, _mul, _pack, _pow, _route, _substitute)
 
 from support import (
+    block_ladder,
     coefficientwise_nth_root,
     coefficientwise_reciprocal,
     convolve_product,
     eliminate_reversion,
     horner_compose,
+    horner_rows,
     naive_order,
     naive_power,
     naive_product,
@@ -306,6 +309,51 @@ def test_mul_rows_at_the_walk_crossover_shapes():
         assert np.array_equal(rows_times(rows, g, 2), convolve_rows(rows, g, m)), (r, m)
         ones = np.ones((r, m), dtype=np.int64)
         assert np.array_equal(rows_times(ones, g, 2), convolve_rows(ones, g, m)), (r, m)
+
+
+def slot_edge(p):
+    """The least n with n*(p-1)^2 >= 2^16: a row product of n coefficients
+    takes 32-bit slots, of n - 1 coefficients 16-bit ones."""
+    return -(-2 ** 16 // (p - 1) ** 2)
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 257))
+def test_horner_matches_row_horner_at_the_slot_edge(p):
+    """_horner against horner_rows where n*(p-1)^2 crosses 2^16, for 1, 2,
+    p and p^2 rows: all entries p - 1, rows, multiplier and addend, so the
+    product's coefficient k is (k+1)*(p-1)^2, the most a slot must hold.
+    The rows are equal, so one oracle row stands for all, and a product
+    that spilled into the next row would change that row."""
+    e = slot_edge(p)
+    if e > 1:
+        assert (_route(p, e - 1, True), _route(p, e, True)) == (16, 32)
+    for n in (n for n in (e - 1, e, e + 1) if n >= 1):
+        row = np.full(n, p - 1, dtype=np.int64)
+        want = horner_rows([row[None], row[None]], row, p, n)[0]
+        assert np.array_equal(want, (np.arange(1, n + 1) + p - 1) % p)
+        for r in (1, 2, p, p * p):
+            rows = np.broadcast_to(row, (r, n))
+            got = _horner([rows, rows], row, p, n)
+            assert np.array_equal(got, np.broadcast_to(want, (r, n))), (p, n, r)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_horner_matches_row_horner(p):
+    """Random chains of 1, 2 and min(p, 8) + 1 terms, on 1, 2 and 5 rows of lengths
+    around the crossover, added into every coefficient or into [::p] as a
+    composition level does, against horner_rows; terms may be a generator
+    and of any integer dtype, and the multiplier may be longer than n1."""
+    rng = np.random.default_rng(470 + p)
+    for n1 in (1, 2, 9, CROSSOVER[p] - 1, CROSSOVER[p] + 1):
+        for r in (1, 2, 5):
+            for at in (slice(None), np.s_[::p]):
+                width = len(range(n1)[at])
+                for count in (1, 2, min(p, 8) + 1):
+                    terms = [rng.integers(0, p, (r, width)) for _ in range(count)]
+                    b = rng.integers(0, p, n1 + 3)
+                    want = horner_rows(terms, b, p, n1, at)
+                    got = _horner((x.astype(np.uint16) for x in terms), b, p, n1, at)
+                    assert np.array_equal(got, want), (p, n1, r, at, count)
 
 
 def test_kernel_skips_units_two_coefficients_long(monkeypatch):
@@ -659,6 +707,68 @@ def test_compose_all_checks_every_row():
         _compose_all([fs[0], Series.gen(5, 40)], g)
     with pytest.raises(NonzeroConstant):
         _compose_all(fs, g + 1)
+
+
+def ladder_shape(p, m):
+    """(r, n1) with no tree level (n1 <= _TWIG) for which _compose's block
+    ladder of an r-row stack runs to g^m with more than one block, by its
+    rule m = min(n1, isqrt(r*n1)); for m = 1, n1 = 2 and one row."""
+    if m == 1:
+        return 1, 2
+    return next((r, n1) for n1 in range(m + 1, _TWIG + 1) for r in range(1, 64)
+                if min(n1, math.isqrt(r * n1)) == m)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_ladder_spreads_match_the_sequential_ladder(monkeypatch, p):
+    """For m in {p - 1, p, p + 1, 2p}, the ladder's g^m (the multiplier of
+    the leaf Horner chain, a spread when p divides m) equals the sequential
+    block_ladder's, and each composition equals block_ladder's and
+    horner_compose's."""
+    rng = random.Random(640 + p)
+    multipliers = []
+    monkeypatch.setattr(series, "_horner", lambda terms, b, *args: multipliers.append(b.copy())
+                        or _horner(terms, b, *args))
+    for m in (p - 1, p, p + 1, 2 * p):
+        r, n1 = ladder_shape(p, m)
+        g = random_no_constant(rng, p, n1 - 1)
+        fs = [random_series(rng, p, n1 - 1) for _ in range(r)]
+        multipliers.clear()
+        got = _compose(np.stack([f.coeffs for f in fs]), g.coeffs, p)
+        want = [block_ladder(f, g, m) for f in fs]
+        assert np.array_equal(multipliers[0], want[0][1][m].coeffs), (p, m, r, n1)
+        for row, f, (image, _) in zip(got, fs, want):
+            assert np.array_equal(row, image.coeffs) and image == horner_compose(f, g), (p, m)
+
+
+@pytest.mark.parametrize("n", (64, 2048))
+def test_ladder_where_no_level_splits_matches_the_sequential_ladder(monkeypatch, n):
+    """At p = 257, p^2 > N + 1: the one leaf is the whole series, its ladder
+    runs to g^isqrt(N + 1) with no spread, and Horner in that power joins
+    the blocks, against block_ladder."""
+    p, m = 257, math.isqrt(n + 1)
+    rng = random.Random(650 + n)
+    f, g = random_series(rng, p, n), random_no_constant(rng, p, n)
+    multipliers = []
+    monkeypatch.setattr(series, "_horner", lambda terms, b, *args: multipliers.append(b.copy())
+                        or _horner(terms, b, *args))
+    image, pows = block_ladder(f, g, m)
+    assert f.compose(g) == image
+    assert len(multipliers) == 1 and np.array_equal(multipliers[0], pows[m].coeffs)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 11))
+def test_group_powers_to_2p_plus_1_match_naive(p):
+    """GroupElement ** k for k = 0, ..., 2p + 1, which composes coefficient
+    arrays, against square-and-multiply over horner_compose: dense elements
+    at N on each side of the first Frobenius level, and one of depth 2."""
+    rng = random.Random(660 + p)
+    for n in (p * p - 1, p * p + 3, 70):
+        elements = [random_group_element(rng, p, n), random_group_element(rng, p, n, depth=2)]
+        for f in elements:
+            for k in range(2 * p + 2):
+                want = naive_power(f.series, k, horner_compose, Series.gen(p, n))
+                assert (f ** k).series == want, (p, n, k)
 
 
 @pytest.mark.parametrize("p, n", [(2, 40), (3, 30), (7, 60)])

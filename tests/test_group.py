@@ -335,6 +335,18 @@ def test_order_takes_the_chain_again_where_a_bound_is_beaten(compositions):
     assert compositions == [157] * 6 + [314] * 9
 
 
+def test_order_at_p_2_restarts_at_four_times_the_precision(compositions):
+    # depth 1 at p = 2, N = 384: the bounds 3, 7 and 15 put the chain at 16,
+    # where f^4 (depth 19) reads t; the chain is taken again at 4 * 16 = 64,
+    # not at 32, where f^8 (depth 43) would read t as well
+    f = random_group_element(random.Random(200), 2, 384, depth=1)
+    assert [(f ** 2 ** j).depth() for j in range(4)] == [1, 3, 19, 43]
+    assert naive_order(f, 8) is None
+    compositions.clear()
+    assert order_mod_truncation(f, 8) is None
+    assert compositions == [16, 16, 64, 64, 64]
+
+
 def test_depths_of_p_power_chains_obey_camina_and_sen():
     # for g = f^(p^j) with both depths below N: depth(g^p) >= p * depth(g)
     # and depth(g^p) = depth(g) mod p^(j+1), so depth(g^p) >= _sen(...);
