@@ -1,5 +1,8 @@
+import itertools
+import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from nottingham import (
@@ -328,3 +331,98 @@ def test_order_four_certificate_moderate_precision():
     assert sigma ** 4 == ident
     assert sigma.depth() == 1
     assert (sigma ** 2).depth() == 3
+
+
+# ----------------------------------------------------------------------
+# order 4 in the full group: the finite certificate behind the series
+#
+# The paper's argument is finite.  phi: (x:y:z) -> (x+y : y : x+z) maps the
+# cubic C: z^2*y + (z+x)*y^2 + x^3 = 0 over F_2 to itself and fixes the
+# smooth point P = (0:0:1), where t = x/z is a uniformizer (dF/dw = 1 in
+# w = y/z).  So phi acts on the completion F_2[[t]] by t -> (t+w)/(1+t) and
+# w -> w/(1+t), which is sigma_relation, and phi's matrix M has M^4 = I and
+# M^2 != I, with phi^2 moving a point of C: sigma has order exactly 4 in the
+# full group, not only mod t^(N+1).
+
+# A form over F_2 is {(i, j, k): 1} for its monomials x^i y^j z^k.
+CUBIC = {(0, 1, 2): 1, (1, 2, 0): 1, (0, 2, 1): 1, (3, 0, 0): 1}
+PHI = ((1, 1, 0), (0, 1, 0), (1, 0, 1))     # rows: x+y, y, x+z
+P = (0, 0, 1)
+
+
+def form_product(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(i + j for i, j in zip(ea, eb))
+            out[e] = (out.get(e, 0) + ca * cb) % 2
+    return {e: c for e, c in out.items() if c}
+
+
+def substitute(form, rows):
+    """form(x', y', z') for the linear forms x', y', z' with these coefficient rows."""
+    linear = [{e: c for e, c in zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), row) if c} for row in rows]
+    out = {}
+    for e, c in form.items():
+        term = {(0, 0, 0): c}
+        for var, power in zip(linear, e):
+            for _ in range(power):
+                term = form_product(term, var)
+        for m, d in term.items():
+            out[m] = (out.get(m, 0) + d) % 2
+    return {e: c for e, c in out.items() if c}
+
+
+def evaluate(form, point):
+    return sum(c * math.prod(v ** i for v, i in zip(point, e)) for e, c in form.items()) % 2
+
+
+def image(rows, point):
+    return tuple(int(v) for v in np.array(rows) @ point % 2)
+
+
+def finite_certificate(cubic, rows):
+    """The finite facts, each exactly: phi preserves C, fixes P on C, C is
+    smooth at P with dF/dw = 1 in the chart z = 1 (the linear part of
+    F(t, w, 1) is w alone), M^4 = I and M^2 != I, and phi^2 moves a point
+    of C over F_2."""
+    m = np.array(rows)
+    chart_linear = {e[:2]: c for e, c in cubic.items() if e[0] + e[1] <= 1}
+    points = [q for q in itertools.product((0, 1), repeat=3) if any(q) and not evaluate(cubic, q)]
+    return (substitute(cubic, rows) == cubic
+            and image(rows, P) == P and not evaluate(cubic, P)
+            and chart_linear == {(0, 1): 1}
+            and np.array_equal(np.linalg.matrix_power(m, 4) % 2, np.eye(3, dtype=int))
+            and not np.array_equal(np.linalg.matrix_power(m, 2) % 2, np.eye(3, dtype=int))
+            and any(image(rows, image(rows, q)) != q for q in points))
+
+
+def test_order_four_in_the_full_group_by_a_finite_certificate():
+    assert finite_certificate(CUBIC, PHI)
+    assert substitute(CUBIC, PHI) == CUBIC
+    # a wrong map (z -> z + y) or a wrong cubic coefficient breaks it
+    assert not finite_certificate(CUBIC, ((1, 1, 0), (0, 1, 0), (0, 1, 1)))
+    for e in list(CUBIC) + [(2, 0, 1)]:
+        wrong = dict(CUBIC)
+        wrong[e] = 1 - wrong.get(e, 0)
+        assert not finite_certificate({m: c for m, c in wrong.items() if c}, PHI), e
+
+
+@pytest.mark.parametrize("n", [8, 64, 512])
+def test_sigma_is_the_certificate_map_on_the_completion(n):
+    """w = relation_root(N) is the branch of C through P: CUBIC vanishes at
+    (t, w, 1).  phi in the chart z = 1, read off its matrix rows, is t' =
+    (t + w)/(1 + t) and w' = w/(1 + t); sigma_relation(N) is t', and
+    w(sigma) = w', so sigma is phi on F_2[[t]]."""
+    t, w = Series.gen(2, n), relation_root(n)
+    coords = (t, w, Series.one(2, n))
+    assert sum((math.prod((v ** i for v, i in zip(coords, e)), start=coords[2]) for e in CUBIC),
+               Series.zero(2, n)).is_zero()
+
+    def chart(row):
+        return sum((v * c for v, c in zip(coords, row) if c), Series.zero(2, n))
+
+    inv = chart(PHI[2]).reciprocal()
+    sigma = sigma_relation(n).series
+    assert sigma == chart(PHI[0]) * inv == (t + w) * _r(Series.one(2, n))
+    assert w.compose(sigma) == chart(PHI[1]) * inv == _r(w)
