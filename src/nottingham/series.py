@@ -226,7 +226,7 @@ def _horner(terms, b, p, n1, at=slice(None)):
     va = v[:, at]
     va[:] = first
     for x in terms:
-        z = int.from_bytes((np.packbits(slots, bitorder="little") if p == 2 else slots).tobytes(), "little")
+        z = int.from_bytes(np.packbits(slots, bitorder="little") if p == 2 else slots, "little")
         c, x = _unpack(z * y, s, p, r * w).reshape(r, w)[:, :n1], x.astype(v.dtype, copy=False)
         if p == 2:      # bits: no sum to reduce
             v[:] = c
@@ -338,7 +338,8 @@ def _compose(f, g, p):
     n1 = lens.pop()
     q = p ** len(lens)          # leaves per outer series; leaf k of f[s] is f[s, k::q]
     m = max(1, min(n1, math.isqrt(q * r * n1)))     # m ladder products balance n1/m of q*r rows
-    pows = np.eye(m + 1, n1, dtype=_DT)         # g^0 = 1; rows 0 < j < n1 are set below
+    pows = _zeros((m + 1, n1))
+    pows[0, 0] = 1
     for j in range(1, min(m + 1, n1)):          # g^j = 0 mod t^n1 for j >= n1
         if j % p:
             pows[j, j:] = _conv(pows[j - 1, j - 1:-1], g[1:n1 - j + 1], p, n1 - j)
