@@ -125,13 +125,17 @@ _COMMANDS = {
 }
 
 
-def _build_parser():
+def _build_parser(argv):
+    """Every subcommand's subparser, which the top-level help and choice
+    check read, but flags only on the one argv names, the only one that
+    parses: its first token that names one, as no top-level option takes a value."""
     parser = _Parser(prog="nottingham",
                      description="Exact Nottingham-group computations over small prime fields.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    named = next((a for a in argv if a in _COMMANDS), None)
     for name, (text, flags, handler) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=text)
-        for flag, kw in flags:
+        for flag, kw in flags if name == named else ():
             cmd.add_argument(flag, **kw)
         cmd.set_defaults(func=handler)
     return parser
@@ -140,7 +144,7 @@ def _build_parser():
 def run(argv):
     """Parse argv and dispatch; returns the process exit code."""
     try:
-        ns = _build_parser().parse_args(argv)
+        ns = _build_parser(argv).parse_args(argv)
         for dest, (what, cap) in _INT_FLAGS.items():
             if getattr(ns, dest, None) is not None:
                 setattr(ns, dest, _number(getattr(ns, dest), what, cap))

@@ -32,7 +32,9 @@ run_checks() certifies the whole construction at a chosen precision:
 
 order_four holds at every finite precision; the checks certify the order-4
 claim to precision N, they do not replace the algebraic proof that the
-order is exactly 4 in the full group.
+order is exactly 4 in the full group.  The finite facts that proof rests
+on are checked exactly by
+tests/test_order4.py::test_order_four_in_the_full_group_by_a_finite_certificate.
 
 Geometric aside: the relation is the dehomogenization at z = 1 (t = x/z,
 w = y/z) of the plane cubic z^2*y + (z + x)*y^2 + x^3 = 0, a supersingular

@@ -131,7 +131,7 @@ def _gather(a, table, n1):
     nout = (n1 + 7) // 8
     kb = min(128, max(8, _BLOCK // (r * min(table.shape[1] - 128, nout))), na)
     block = _block(table, nout, kb)
-    out = np.zeros((r, na + block.shape[1]), dtype=np.uint8)
+    out = np.zeros((r, na + block.shape[1]), dtype=np.uint8) if kb < na else None
     for k in range(0, na, kb):
         # again without the columns past nout - k once they are half of it
         # and 1024 row bytes remain
@@ -141,7 +141,10 @@ def _gather(a, table, n1):
         g = np.take(block, a[:, k:k + kb], axis=0)
         # g read with row stride wg - 1: the table row of block byte j lands at offset j
         skew = np.ndarray((r, g.shape[1], wg // 8), np.uint64, g, 0, (g.shape[1] * wg, wg - 1, 8))
-        out[:, k:k + wg - 1] ^= np.bitwise_xor.reduce(skew, axis=1).view(np.uint8)
+        words = np.bitwise_xor.reduce(skew, axis=1).view(np.uint8)
+        if out is None:     # one block: its gather is the product
+            return words[:, :nout]
+        out[:, k:k + wg - 1] ^= words
     return out[:, :nout]
 
 
@@ -664,6 +667,8 @@ class Series:
     def from_text(cls, text):
         """Parse the to_text() encoding; raises ValueError on malformed input.
         Numbers are ASCII digits, and a coefficient may have one leading -."""
+        if not isinstance(text, str):
+            raise TypeError(f"expected a str, got {type(text).__name__}")
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if len(lines) != 2:
             raise ValueError("expected exactly two non-empty lines")

@@ -290,7 +290,7 @@ def test_digits_past_the_int_limit_are_named(tmp_path):
 # ----------------------------------------------------------------------
 # top-level usage
 
-@pytest.mark.parametrize("argv", [
+USAGE_ERRORS = [
     [],
     ["frobnicate"],
     ["x" * 5000],
@@ -299,8 +299,12 @@ def test_digits_past_the_int_limit_are_named(tmp_path):
     ["sigma", "--trunc", "8", "--method", "y" * 5000],
     ["verify", "--trunc", "8", "--extra"],
     ["power", "--in", "F"],
-], ids=["no-subcommand", "unknown-subcommand", "huge-subcommand", "missing-flag",
-        "bad-choice", "huge-choice", "extra-argument", "missing-k"])
+]
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS, ids=[
+    "no-subcommand", "unknown-subcommand", "huge-subcommand", "missing-flag",
+    "bad-choice", "huge-choice", "extra-argument", "missing-k"])
 def test_usage_errors(argv):
     code, out, err = run_cli(argv)
     assert (code, out) == (2, "")
@@ -314,3 +318,59 @@ def test_help_exits_zero():
 def test_output_reparses_to_library_value(tmp_path):
     out = run_cli(["sigma", "--trunc", "62"])[1]
     assert Series.from_text(out) == sigma_closed(62).series
+
+
+# ----------------------------------------------------------------------
+# flags only on the named subcommand's parser
+
+def full_parser(argv):
+    """The parser with every subcommand's flags, whatever argv names."""
+    parser = cli._Parser(prog="nottingham",
+                         description="Exact Nottingham-group computations over small prime fields.")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (text, flags, handler) in cli._COMMANDS.items():
+        cmd = sub.add_parser(name, help=text)
+        for flag, kw in flags:
+            cmd.add_argument(flag, **kw)
+        cmd.set_defaults(func=handler)
+    return parser
+
+
+# The hostile inputs of perfbench's cli_small pool, at N = 12: (argv, files).
+HOSTILE = [
+    (["depth", "--in", "@f"], {"f": "p=2 N=1000000000000000\n1:1 5:1\n"}),
+    (["order", "--in", "@f"], {"f": "p=3 N=1000000000000000\n1:1 2:2\n"}),
+    (["depth", "--in", "@f"], {"f": "p=2 M=12\n1:1\n"}),
+    (["inverse", "--in", "@f"], {"f": "p=4 N=12\n1:1 2:1\n"}),
+    (["power", "--in", "@f", "-k", "2"], {"f": "p=3 N=12\n1:2 3:1\n"}),
+    (["depth", "--in", "@f"], {"f": "p=2 N=12\n1:1 5:1 3:1\n"}),
+    (["inverse", "--in", "@f"], {"f": "p=5 N=12\n1:1 13:2\n"}),
+    (["compose", "--lhs", "@f", "--rhs", "@g"], {"f": "p=2 N=12\n1:1 2:1 7:1\n",
+                                                 "g": "p=3 N=12\n1:1 4:2\n"}),
+    (["klopsch", "-p", "3", "-m", "6", "-a", "1", "--trunc", "12"], {}),
+    (["verify", "--trunc", "5"], {}),
+]
+IDENTITY_ARGVS = (
+    [[], ["-h"], ["--help"], ["-h", "verify"], ["--", "verify", "--trunc", "8"]]
+    + [[name, "--help"] for name in cli._COMMANDS] + USAGE_ERRORS
+    + [["verify", "--trunc", "8"], ["sigma", "--trunc", "62", "--method", "closed"],
+       ["klopsch", "-p", "5", "-m", "2", "-a", "3", "--trunc", "20"]])
+
+
+@pytest.mark.parametrize("argv, files", [(argv, {}) for argv in IDENTITY_ARGVS] + HOSTILE)
+def test_output_is_the_full_parsers(monkeypatch, tmp_path, argv, files):
+    """stdout, stderr and exit code are those of a parser that gives every
+    subcommand its flags: help, usage and error text included."""
+    paths = {"@" + key: write(tmp_path / f"{key}.txt", text) for key, text in files.items()}
+    resolved = [paths.get(a, a) for a in argv]
+    got = run_cli(resolved)
+    assert got[0] == 2 or (argv, files) not in HOSTILE
+    monkeypatch.setattr(cli, "_build_parser", full_parser)
+    assert got == run_cli(resolved)
+
+
+def test_only_the_named_subcommand_gets_flags():
+    """Every subparser is built; the named one alone carries flags (beyond -h)."""
+    subs = cli._build_parser(["-h", "power", "verify"])._subparsers._group_actions[0].choices
+    assert list(subs) == list(cli._COMMANDS)
+    assert {name for name, p in subs.items() if len(p._actions) > 1} == {"power"}

@@ -694,6 +694,54 @@ def test_certificate_walks_packed_and_group_ops_do_not(monkeypatch):
         assert bool(gathers) == (r * L >= _CLMUL), (r, L)
 
 
+# (r, row bytes) of the packed walk's low levels at N = 2048, and r*L at
+# _CLMUL - 1 and _CLMUL (as (r, coefficients), packed below).
+GATHER_SHAPES = [(512, 2), (256, 3), (128, 5), (64, 9), (16, 33), (8, 65)]
+CLMUL_ROWS = [(1, _CLMUL - 1), (1, _CLMUL), (2, _CLMUL // 2), (3, (_CLMUL - 1) // 3), (5, _CLMUL // 5)]
+
+
+def test_gather_in_one_block_or_many(monkeypatch):
+    """The same rows give the same bytes in one block (the default _BLOCK
+    here) and in blocks of 8 row bytes (_BLOCK = 1), both against
+    np.convolve.  The low levels gather by the table of a g of 2049
+    coefficients, as the walks at N = 2048 do; rows of at most 8 bytes are
+    one block either way."""
+    rng = np.random.default_rng(570)
+    cases = [(r, 8 * nb - d, 2049) for r, nb in GATHER_SHAPES for d in (7, 0)]
+    cases += [(r, L, L) for r, L in CLMUL_ROWS]
+    default = series._BLOCK
+    for r, n1, lb in cases:
+        rows, b = bits(rng, r, n1), bits(rng, lb)
+        a = np.packbits(rows.astype(np.uint8), axis=1, bitorder="little")
+        got = []
+        for block in (default, 1):
+            monkeypatch.setattr(series, "_BLOCK", block)
+            got.append(_gather(a, series._table(b), n1))
+        assert got[0].tobytes() == got[1].tobytes(), (r, n1)
+        unpacked = np.unpackbits(got[0], axis=1, count=n1, bitorder="little")
+        assert np.array_equal(unpacked, convolve_rows(rows, b, n1)), (r, n1)
+
+
+def test_walks_at_2048_gather_low_levels_in_one_block(monkeypatch):
+    """run_checks at N = 2048 (two walks of levels 17, 33, ..., 2049, and
+    one kernel product): a level of at most 513 coefficients returns the
+    XOR-reduced uint64 words of its one block as they are; the levels above
+    run the block loop into a uint8 output buffer."""
+    from nottingham.order4 import run_checks, sigma_bundle
+    bundle = sigma_bundle(2048)
+    seen = []
+
+    def spy(a, table, n1):
+        out = _gather(a, table, n1)
+        seen.append((n1, out.base.dtype == np.uint64))
+        return out
+    monkeypatch.setattr(series, "_gather", spy)
+    run_checks(bundle)
+    levels = {2 ** k + 1 for k in range(4, 12)}
+    assert sorted(n for n, _ in seen if n in levels) == sorted(2 * list(levels))
+    assert all(one == (n <= 513) for n, one in seen), seen
+
+
 def test_compose_all_checks_every_row():
     """_compose_all returns Series equal to each row's compose, and checks
     the context of every outer series, not only the first, and g(0) = 0."""

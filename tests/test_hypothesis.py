@@ -7,13 +7,18 @@ composition against the Horner ladder and associativity of the group law
 at p in {2, 3, 5, 7}, where every N + 1 above 16 and at least p^2 splits
 into several leaves that share one block ladder.  The exponent laws check
 powers against the ring itself, with exponents up to p^3 and at the unit
-exponent (p-1)*p^J, p^J >= N + 1, where powers above N reduce.
+exponent (p-1)*p^J, p^J >= N + 1, where powers above N reduce.  Any
+value at all, handed to a public entry point, either works or raises
+TypeError, ValueError or a NottinghamError (IndexError for Series[e]).
 """
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nottingham.group import GroupElement, klopsch_rep
+import nottingham
+from nottingham import NottinghamError
+from nottingham.group import GroupElement, klopsch_rep, order_mod_truncation
 from nottingham.series import Series
 
 from support import horner_compose, unit_exponent
@@ -108,3 +113,54 @@ def test_group_law_is_associative(p, n, data):
     f, g, h = (GroupElement(Series(p, n, [0, 1] + data.draw(
         st.lists(st.integers(0, p - 1), min_size=n - 1, max_size=n - 1)))) for _ in range(3))
     assert (f * g) * h == f * (g * h)
+
+
+# Values of every kind a caller might pass: small ints (most of them valid
+# somewhere), bools, floats, None, str, bytes, lists, numpy scalars and
+# ints past 2^3000.
+ANY = st.one_of(
+    st.integers(-3, 300), st.booleans(), st.floats(), st.none(), st.text(max_size=12),
+    st.binary(max_size=12), st.lists(st.integers(-3, 300), max_size=4),
+    st.builds(np.int64, st.integers(-3, 300)), st.builds(np.float64, st.floats(-3, 300)),
+    st.integers(2 ** 3000, 2 ** 3001) | st.integers(-2 ** 3001, -2 ** 3000))
+F = Series.from_terms(2, 12, {1: 1, 3: 1})
+U = Series.one(3, 12)
+ENTRY_POINTS = {
+    "Series": lambda a, b, c, d: Series(a, b, c),
+    "from_terms": lambda a, b, c, d: Series.from_terms(a, b, [(c, d)]),
+    "from_text": lambda a, b, c, d: Series.from_text(a),
+    "pow": lambda a, b, c, d: U ** a,
+    "pow_of_a_non_unit": lambda a, b, c, d: F ** a,
+    "nth_root": lambda a, b, c, d: U.nth_root(a),
+    "truncate": lambda a, b, c, d: F.truncate(a),
+    "compose": lambda a, b, c, d: F.compose(a),
+    "GroupElement": lambda a, b, c, d: GroupElement(a),
+    "group_pow": lambda a, b, c, d: GroupElement(F) ** a,
+    "klopsch_rep": lambda a, b, c, d: klopsch_rep(a, b, c, d),
+    "order_mod_truncation": lambda a, b, c, d: order_mod_truncation(a, b),
+    "order_cap": lambda a, b, c, d: order_mod_truncation(GroupElement(F), a),
+    "verify_all": lambda a, b, c, d: nottingham.verify_all(a),
+    "check_prime": lambda a, b, c, d: nottingham.check_prime(a),
+}
+ENTRY_POINTS.update({f"sigma_{name}": lambda a, b, c, d, fn=getattr(nottingham, f"sigma_{name}"): fn(a)
+                     for name in ("closed", "algebraic", "relation", "bundle", "support")})
+
+
+@settings(FIXED, max_examples=500)
+@given(st.sampled_from(sorted(ENTRY_POINTS)), ANY, ANY, ANY, ANY)
+def test_any_value_works_or_raises_a_documented_error(name, a, b, c, d):
+    """A wrong type raises TypeError, a bad value ValueError or a
+    NottinghamError; nothing else escapes."""
+    try:
+        ENTRY_POINTS[name](a, b, c, d)
+    except (TypeError, ValueError, NottinghamError):
+        pass
+
+
+@FIXED
+@given(ANY)
+def test_index_is_an_exponent_or_index_error(e):
+    try:
+        assert F[e] in (0, 1)
+    except IndexError:
+        pass

@@ -653,6 +653,12 @@ def test_from_text_rejects_malformed(text):
         Series.from_text(text)
 
 
+@pytest.mark.parametrize("text", [None, 123, ["p=2 N=3", "1:1"], b"p=2 N=3\n1:1\n"])
+def test_from_text_of_a_non_str_is_a_type_error(text):
+    with pytest.raises(TypeError, match="expected a str"):
+        Series.from_text(text)
+
+
 def test_from_text_keeps_negative_coefficients():
     assert Series.from_text("p=3 N=2\n1:1 2:-1\n") == Series.from_terms(3, 2, {1: 1, 2: 2})
 
