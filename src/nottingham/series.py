@@ -20,7 +20,8 @@ a block ladder evaluates all leaves (at most _TWIG coefficients) as rows of
 a matrix, and each level is one _horner chain, p - 1 row products by g
 packed once, the rows kept in their slots (at p = 2 on bit-packed rows and
 a byte table of g if _route gives the top level the kernel).  Reciprocals,
-m-th roots (_inv_root) and reversion (down to _LEAF) are Newton doubling.
+m-th roots (_inv_root) and reversion are Newton doubling, reversion down to
+_LEAF coefficients, which solve a triangular system in _powers' rows.
 
 Values are immutable after construction and every operation is a pure
 function of its inputs, so Series objects are safe to share across threads.
@@ -53,7 +54,7 @@ _DT = np.int64
 # 257): int64 sums are exact, and so is every slot of _conv.
 MAX_TRUNC = 2 ** 20
 _TWIG = 16      # series this short are composition leaves, evaluated by the block ladder
-_LEAF = 32      # series this short revert by elimination
+_LEAF = 32      # series this short revert by a triangular solve
 # _route's crossovers (2-vCPU Xeon): Kronecker overtakes np.convolve from _KRONECKER,
 # the p = 2 byte-table kernel bit slots from _CLMUL; it gathers ~_BLOCK bytes at a time.
 _KRONECKER = 80
@@ -322,32 +323,39 @@ def _inv_root(a, m, p):
     return np.concatenate([u, _red(-pow(m % p, -1, p) * c, p)])
 
 
+def _powers(g, m, p, n1):
+    """The rows g^0, ..., g^m mod t^n1 for g(0) = 0, rows j >= n1 zero: g^j
+    is one _conv from t^j on, or the spread g^(j/p)(t^p) if p divides j."""
+    pows = _zeros((m + 1, n1))
+    pows[0, 0] = 1
+    for j in range(1, min(m + 1, n1)):
+        if j % p:
+            pows[j, j:] = _conv(pows[j - 1, j - 1:-1], g[1:n1 - j + 1], p, n1 - j)
+        else:
+            pows[j, ::p] = pows[j // p, :(n1 - 1) // p + 1]
+    return pows
+
+
 def _compose(f, g, p):
     """f[s](g) for each row s of an (r, n1) stack f, by Bernstein's Frobenius
     split one tree level at a time: with f_i = f[i::p], f(g) = sum_{i<p}
     g^i f_i(g)^p, each f_i(g) at precision N//p.  Node k of level K is
     f[k::p^K], in row k*r + s for f[s]: the q*r leaf rows (at most _TWIG
     coefficients, or p^2 > L: the roots alone) are one matrix for the block
-    ladder, blocks of m = min(L, isqrt(q*r*L)) against g^0, ..., g^m (g^j one
-    _conv from t^j on, as g(0) = 0, or the spread g^(j/p)(t^p)), _horner in
-    g^m when m < L.  Each level up is _horner by g, child i into [::p]; if
-    _route gives the top level's r*n1 coefficients the kernel, the levels run
-    on bit-packed rows and one _table of g: a level of n coefficients spreads
-    its children by _SPREAD and _gathers the odd one in ceil(n/8) bytes,
-    leaving a row's bits at or above n, which later levels only raise."""
+    ladder, blocks of m = min(L, isqrt(q*r*L)) against the _powers g^0,
+    ..., g^m, _horner in g^m when m < L.  Each level up is _horner by g,
+    child i into [::p]; if _route gives the top level's r*n1 coefficients the
+    kernel, the levels run on bit-packed rows and one _table of g: a level of
+    n coefficients spreads its children by _SPREAD and _gathers the odd one
+    in ceil(n/8) bytes, leaving a row's bits at or above n, which later
+    levels only raise."""
     r, *lens = f.shape          # lens: the lengths of each level's nodes, from the roots
     while lens[-1] > _TWIG and p * p <= lens[-1]:
         lens.append((lens[-1] - 1) // p + 1)
     n1 = lens.pop()
     q = p ** len(lens)          # leaves per outer series; leaf k of f[s] is f[s, k::q]
     m = max(1, min(n1, math.isqrt(q * r * n1)))     # m ladder products balance n1/m of q*r rows
-    pows = _zeros((m + 1, n1))
-    pows[0, 0] = 1
-    for j in range(1, min(m + 1, n1)):          # g^j = 0 mod t^n1 for j >= n1
-        if j % p:
-            pows[j, j:] = _conv(pows[j - 1, j - 1:-1], g[1:n1 - j + 1], p, n1 - j)
-        else:       # g^j = g^(j/p)(t^p)
-            pows[j, ::p] = pows[j // p, :(n1 - 1) // p + 1]
+    pows = _powers(g, m, p, n1)
     nb = -(-n1 // m)            # blocks per leaf
     leaves = np.concatenate([f, _zeros((r, q * nb * m - f.shape[1]))], axis=1)
     leaves = leaves.reshape(r, nb * m, q).transpose(2, 0, 1).reshape(q * r, nb * m)
@@ -374,36 +382,22 @@ def _compose_all(fs, g):
     return [g._new(c) for c in _compose(np.array([f.coeffs for f in fs]), g.coeffs, g.p)]
 
 
-def _eliminate(a, p):
-    """Reversion by degree-by-degree elimination, about n1 products: the t^n
-    coefficient of the running sum of g_k a^k = t pins g_n (pivot a_1^n).
-    a^n has valuation n, so each a^n is one _conv from t^n on."""
-    n1 = a.shape[0]
-    inv_f1 = pow(int(a[1]), -1, p)
-    g = _zeros(n1)
-    g[1] = inv_f1
-    apow = a.copy()                 # a^n as n advances, from t^n on
-    acc = _red(inv_f1 * apow, p)    # sum of g_k a^k over known k, from t^n on
-    inv_pow = inv_f1                # 1 / a_1^n
-    for n in range(2, n1):
-        apow[n:] = _conv(apow[n - 1:-1], a[1:n1 - n + 1], p, n1 - n)
-        inv_pow = (inv_pow * inv_f1) % p
-        c = int(acc[n])
-        if c:
-            gn = (-c * inv_pow) % p
-            g[n] = gn
-            acc[n:] = _red(acc[n:] + gn * apow[n:], p)
-    return g
-
-
 def _reversion(a, p):
     """Newton iteration g <- g - (f(g) - t)/f'(g) doubles the correct
     coefficients of g in any characteristic.  No reciprocal: by the chain
     rule, f(g) = t mod t^h gives 1/f'(g) = g' mod t^(h-1), and n1 - h <= h - 1.
-    One composition and one product per step; short series: elimination."""
+    One composition and one product per step.  Short series solve sum_k g_k
+    a^k = t, triangular in the _powers a^k: g_n pins the t^n coefficient,
+    pivot a_1^n, the rest a dot product below 32*256^2, exact in int64."""
     n1 = a.shape[0]
     if n1 <= _LEAF:
-        return _eliminate(a, p)
+        pows, g = _powers(a, n1 - 1, p, n1), _zeros(n1)
+        inv_f1 = inv_pow = pow(int(a[1]), -1, p)
+        g[1] = inv_f1
+        for n in range(2, n1):
+            inv_pow = inv_pow * inv_f1 % p      # 1 / a_1^n
+            g[n] = -int(g[:n] @ pows[:n, n]) * inv_pow % p
+        return g
     h = n1 // 2 + 1
     g = np.concatenate([_reversion(a[:h], p), _zeros(n1 - h)])
     dg = _red(g[1:n1 - h + 1] * np.arange(1, n1 - h + 1), p)   # g' mod t^(n1-h)

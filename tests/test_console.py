@@ -50,7 +50,7 @@ def test_sigma_inverse_is_its_third_seventh_and_long_power(tmp_path):
 
 
 def test_order_7_inverse_is_its_sixth_and_13th_power(tmp_path):
-    # order 7 at p = 7: the inverse runs Newton steps and elimination at odd p
+    # order 7 at p = 7: the inverse runs Newton steps and the leaf solve at odd p
     k7 = saved(tmp_path / "k7", "klopsch", "-p", "7", "-m", "2", "-a", "3", "--trunc", "200")
     inverse = console("inverse", "--in", k7)[0]
     for k in ("6", "13"):

@@ -10,7 +10,7 @@ to the root), powers take their exponent one base-p digit at a time, the
 higher digits as a coefficient spread, Artin-Schreier roots run as an
 in-place doubling, powers above N reduce their exponent,
 reciprocals and m-th roots run one Newton routine from half length, reversion
-(above the elimination leaf) runs Newton iteration, klopsch_rep works in
+(above a triangular-solve leaf) runs Newton iteration, klopsch_rep works in
 x = t^m, division by 1 + t over F_2 is a prefix XOR, and truncated orders
 take their p-th powers at the precision depth bounds predict; each is
 checked for bit-equality against an algorithm that does none of that.
@@ -27,7 +27,7 @@ from nottingham.group import GroupElement, klopsch_rep, order_mod_truncation
 from nottingham.order4 import _r, sigma_closed
 from nottingham.series import (
     _CLMUL, _KRONECKER, _LEAF, _SPREAD, _TWIG, Series, _clmul, _compose, _compose_all, _conv,
-    _eliminate, _gather, _horner, _inv_root, _mul, _pack, _pow, _route, _substitute)
+    _gather, _horner, _inv_root, _mul, _pack, _pow, _powers, _route, _substitute)
 
 from support import (
     block_ladder,
@@ -767,6 +767,25 @@ def ladder_shape(p, m):
                 if min(n1, math.isqrt(r * n1)) == m)
 
 
+@pytest.mark.parametrize("p", PRIMES)
+def test_powers_match_sequential_products(p):
+    """_powers' rows g^0, ..., g^m mod t^n1 against powers by convolve_product:
+    the spread rows at p | j, the zero rows at j >= n1, and an m of n1 - 1
+    as the reversion leaf takes it; g runs past n1, and only its first n1
+    coefficients may count."""
+    rng = random.Random(630 + p)
+    for n1 in (1, 2, 17, 33):
+        g_long = random_no_constant(rng, p, n1 + 4)
+        g = g_long.truncate(n1 - 1)
+        ms = {0, 1, p - 1, p, p + 1, n1 - 1, n1, n1 + 1}
+        want = [Series.one(p, n1 - 1)]
+        for _ in range(max(ms)):
+            want.append(convolve_product(want[-1], g))
+        for m in ms:
+            got = _powers(g_long.coeffs, m, p, n1)
+            assert np.array_equal(got, [w.coeffs for w in want[:m + 1]]), (p, n1, m)
+
+
 @pytest.mark.parametrize("p", (2, 3, 5, 7))
 def test_ladder_spreads_match_the_sequential_ladder(monkeypatch, p):
     """For m in {p - 1, p, p + 1, 2p}, the ladder's g^m (the multiplier of
@@ -1138,19 +1157,17 @@ def test_reversion_matches_elimination(p):
         assert f.reversion() == eliminate_reversion(f), (p, n)
 
 
-@pytest.mark.parametrize("p", (3, 5, 7, 257))
-def test_eliminate_with_a_unit_other_than_one(p):
-    """a_1 in {2, p - 1}: the pivot a_1^n changes with n.  _eliminate at
-    every length to 20 and around _LEAF, and reversion through the Newton
-    steps above it, against the oracle."""
+@pytest.mark.parametrize("p", PRIMES)
+def test_reversion_leaf_at_every_length_and_pivot(p):
+    """a_1 in {1, 2, p - 1}: the pivot a_1^n changes with n unless a_1 = 1.
+    Reversion at every length to _LEAF + 1, the leaf's triangular solve and
+    the first Newton step over it, and at 3*_LEAF, against the oracle."""
     rng = random.Random(455 + p)
-    for n in tuple(range(1, 21)) + (_LEAF - 1, _LEAF, _LEAF + 1, 3 * _LEAF):
-        for a1 in {2, p - 1}:
+    for n in tuple(range(1, _LEAF + 2)) + (3 * _LEAF,):
+        for a1 in {1, 2, p - 1} - {p}:
             f = random_invertible(rng, p, n)
             f = Series(p, n, [0, a1] + list(f.coeffs[2:]))
-            want = eliminate_reversion(f)
-            assert Series(p, n, _eliminate(f.coeffs, p)) == want, (p, n, a1)
-            assert f.reversion() == want, (p, n, a1)
+            assert f.reversion() == eliminate_reversion(f), (p, n, a1)
 
 
 @pytest.mark.parametrize("p", PRIMES)
