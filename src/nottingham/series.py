@@ -9,10 +9,10 @@ the only way to lower precision.
 
 All arithmetic is exact integer arithmetic; nothing here touches floating
 point.  A product is one _conv, on the path _route names from the shorter
-operand's length: an int64 convolution, Kronecker substitution (_pack, one
-big-int product, _unpack; a bit per coefficient at p = 2, else byte slots)
-or, at p = 2, a carry-less byte-table kernel (_table, then _gather).  Over
-F_p, f(t)^p = f(t^p) is a spread, which powers, p = 2 squares,
+operand's length n: an int64 convolution, Kronecker substitution (_pack, one
+big-int product, _unpack; slots of n.bit_length() bits at p = 2, else of 16,
+32 or 64) or, at p = 2, a carry-less byte-table kernel (_table, then
+_gather).  Over F_p, f(t)^p = f(t^p) is a spread, which powers, p = 2 squares,
 Artin-Schreier roots and composition's ladder (g^(p*i) = g^i(t^p)) use.
 Composition is Bernstein's Frobenius split, O(p*M(N)*log_p N) for M(N) one
 product's cost, a tree level at a time, for a stack of outer series at once:

@@ -217,6 +217,30 @@ def test_corrupted_relation_root_flips_dependent_checks():
     )
 
 
+def test_tampered_schreier_root_and_algebraic_slot_flip_their_checks():
+    """The two slots no other test tampers alone: s feeds only (a) and (b),
+    and the algebraic slot only route_agreement's first comparison."""
+    b = sigma_bundle(64)
+    tampered = replace(b, schreier_root=b.schreier_root + Series.from_terms(2, 64, {20: 1}))
+    assert run_checks(tampered).render() == (
+        "artin_schreier: FAIL first_failure_exponent=20\n"
+        "factorization: FAIL first_failure_exponent=20\n"
+        "ring_relation: PASS\n"
+        "equivariance: PASS\n"
+        "order_four: PASS\n"
+        "route_agreement: PASS\n"
+    )
+    algebraic = GroupElement(b.sigma_algebraic.series + Series.from_terms(2, 64, {40: 1}))
+    assert run_checks(replace(b, sigma_algebraic=algebraic)).render() == (
+        "artin_schreier: PASS\n"
+        "factorization: PASS\n"
+        "ring_relation: PASS\n"
+        "equivariance: PASS\n"
+        "order_four: PASS\n"
+        "route_agreement: FAIL first_failure_exponent=40\n"
+    )
+
+
 def test_renders_of_tampered_bundles_at_2048():
     """At N = 2048, where a product by r = 1/(1+t) would take the byte-table
     kernel: a tampered relation root, then a tampered candidate element."""
