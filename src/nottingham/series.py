@@ -18,10 +18,11 @@ Composition is Bernstein's Frobenius split, O(p*M(N)*log_p N) for M(N) one
 product's cost, a tree level at a time, for a stack of outer series at once:
 a block ladder evaluates all leaves (at most _TWIG coefficients) as rows of
 a matrix, and each level is one _horner chain, p - 1 row products by g
-packed once, the rows kept in their slots (at p = 2 on bit-packed rows and
-a byte table of g if _route gives the top level the kernel).  Reciprocals,
-m-th roots (_inv_root) and reversion are Newton doubling, reversion down to
-_LEAF coefficients, which solve a triangular system in _powers' rows.
+packed once: int64 rows packed each step, p = 2 bits kept in their slots (on
+bit-packed rows and a byte table of g if _route gives the top level the
+kernel).  Reciprocals, m-th roots (_inv_root) and reversion are Newton
+doubling, reversion down to _LEAF coefficients, which solve a triangular
+system in _powers' rows.
 
 Values are immutable after construction and every operation is a pure
 function of its inputs, so Series objects are safe to share across threads.
@@ -88,9 +89,10 @@ def _zeros(n1):
     return np.zeros(n1, dtype=_DT)
 
 
-def _red(x, p):
-    """An int array mod p: at p = 2 the mask x & 1, which is x % 2 in two's complement."""
-    return x & 1 if p == 2 else x % p
+def _red(x, p, out=None):
+    """An int array mod p, into out if given: at p = 2 the mask x & 1, which
+    is x % 2 in two's complement.  The one array reduction here."""
+    return np.bitwise_and(x, 1, out=out) if p == 2 else np.remainder(x, p, out=out)
 
 
 def _table(b):
@@ -187,16 +189,16 @@ def _conv(a, b, p, n1):
         return _red(np.convolve(a, b)[:n1], p)
     x = _pack(a, s, p)
     c = _unpack(x * (x if b is a else _pack(b, s, p)), s, p, n1)
-    return (c if p == 2 else c % p).astype(_DT)
+    return _red(c, p).astype(_DT)
 
 
 def _pack(a, s, p):
-    """Kronecker substitution: the int with a[k] in its s-bit slot k, for a
-    1-D array of residues; at p = 2 by packbits of one uint8 per bit."""
+    """Kronecker substitution: the int with the residues of a, rows end to
+    end, in s-bit slots; at p = 2 by packbits of one uint8 per bit."""
     if p != 2:
         return int.from_bytes(a.astype(f"<u{s // 8}", copy=False).tobytes(), "little")
-    m = np.zeros((len(a), s), np.uint8)
-    m[:, 0] = a
+    m = np.zeros(a.shape + (s,), np.uint8)
+    m[..., 0] = a
     return int.from_bytes(np.packbits(m, bitorder="little").tobytes(), "little")
 
 
@@ -208,37 +210,31 @@ def _unpack(x, s, p, count):
 
 
 def _horner(terms, b, p, n1, at=slice(None)):
-    """Horner by b mod t^n1 on r rows: acc[:, at] is the first (r, k) array
-    of residues in terms, then acc <- acc*b and acc[:, at] += x mod p for
-    each next x; returns acc, maybe unsigned.  One row _route gives
-    np.convolve takes it; else b is packed once and acc stays in _pack's
-    slots, rows n1 + len(b) - 1 apart."""
+    """Horner by b mod t^n1 on r rows: v[:, at] is the first (r, k) array of
+    residues in terms, then v <- v*b and v[:, at] += x mod p for each next x;
+    returns v.  Rows sit n1 + len(b) - 1 slots apart in acc: uint8 bits kept
+    in their slots if _route gives p = 2 bit slots, else int64 residues,
+    packed by _pack each step (np.convolve for one row _route gives it)."""
     first = next(terms := iter(terms))
     r, b = len(first), b[:n1]
     s = _route(p, n1, True) if r > 1 or _route(p, n1) else 0
-    if not s:
-        acc = _zeros((1, n1))
-        acc[:, at] = first
-        for x in terms:
-            acc = np.convolve(acc[0], b)[None, :n1]
-            acc[:, at] += x
-            acc = _red(acc, p)
-        return acc
-    w, y = n1 + len(b) - 1, _pack(b, s, p)
-    slots = np.zeros((r, w, s), np.uint8) if p == 2 else np.zeros((r, w), f"<u{s // 8}")
-    v = slots[:, :n1, 0] if p == 2 else slots[:, :n1]
+    w, y, bits = n1 + len(b) - 1, s and _pack(b, s, p), p == 2 and s
+    acc = np.zeros((r, w, s), np.uint8) if bits else _zeros((r, w))
+    v = (acc[..., 0] if bits else acc)[:, :n1]
     va = v[:, at]
     va[:] = first
     for x in terms:
-        z = int.from_bytes(np.packbits(slots, bitorder="little") if p == 2 else slots, "little")
-        c, x = _unpack(z * y, s, p, r * w).reshape(r, w)[:, :n1], x.astype(v.dtype, copy=False)
-        if p == 2:      # bits: no sum to reduce
-            v[:] = c
-            va ^= x
+        if not s:
+            v[0] = np.convolve(v[0], b)[:n1]
         else:
-            np.remainder(c, p, out=v)
-            va += x     # residues: below 2p
-            np.remainder(va, p, out=va)
+            z = (int.from_bytes(np.packbits(acc, bitorder="little"), "little") if bits
+                 else _pack(acc, s, p))
+            v[:] = _unpack(z * y, s, p, r * w).reshape(r, w)[:, :n1]
+        if bits:        # bits: no sum to reduce
+            va ^= x.astype(np.uint8, copy=False)
+        else:           # int64 holds the product's slots plus x: one reduction
+            va += x
+            _red(v, p, out=v)
     return v
 
 
@@ -519,15 +515,15 @@ class Series:
     def __repr__(self):
         terms = []
         for e in self.support():
+            if len(terms) == 10:        # an 11th term: left out
+                terms.append("...")
+                break
             c = int(self.coeffs[e])
             if e == 0:
                 terms.append(str(c))
             else:
                 var = "t" if e == 1 else f"t^{e}"
                 terms.append(var if c == 1 else f"{c}*{var}")
-            if len(terms) == 10:
-                terms.append("...")
-                break
         body = " + ".join(terms) if terms else "0"
         return f"Series(p={self.p}, N={self.trunc}; {body})"
 

@@ -281,6 +281,12 @@ def test_mask_is_the_remainder_on_int64():
     assert np.array_equal(_red(x, 2), x % 2)
     assert np.array_equal(_red(x[None], 2), x[None] % 2)
     assert np.array_equal(_red(x, 3), x % 3)
+    for p in (2, 3):        # out=: in place, and into a strided view
+        y = x.copy()
+        assert _red(y, p, out=y) is y and np.array_equal(y, x % p)
+        z = np.full((len(x), 2), 7, dtype=np.int64)
+        _red(x, p, out=z[:, 0])
+        assert np.array_equal(z[:, 0], x % p) and (z[:, 1] == 7).all()
 
 
 def test_mask_at_p2_is_the_remainder_in_ring_operations():
@@ -688,3 +694,8 @@ def test_repr_smoke():
     assert "t^6" in repr(Series.from_terms(2, 8, {1: 1, 6: 1}))
     assert repr(Series.zero(2, 3)).endswith("0)")
     assert "2*t^3" in repr(Series.from_terms(5, 4, {3: 2}))
+    # ... stands for left-out terms: none at 10 terms, the 11th on
+    ten = repr(Series.from_terms(2, 20, {e: 1 for e in range(1, 11)}))
+    assert ten == "Series(p=2, N=20; " + " + ".join(["t"] + [f"t^{e}" for e in range(2, 11)]) + ")"
+    eleven = repr(Series.from_terms(2, 20, {e: 1 for e in range(1, 12)}))
+    assert eleven == ten[:-1] + " + ...)"
