@@ -350,7 +350,7 @@ def _compose(f, g, p):
         lens.append((lens[-1] - 1) // p + 1)
     n1 = lens.pop()
     q = p ** len(lens)          # leaves per outer series; leaf k of f[s] is f[s, k::q]
-    m = max(1, min(n1, math.isqrt(q * r * n1)))     # m ladder products balance n1/m of q*r rows
+    m = min(n1, math.isqrt(q * r * n1))     # m ladder products balance n1/m of q*r rows
     pows = _powers(g, m, p, n1)
     nb = -(-n1 // m)            # blocks per leaf
     leaves = np.concatenate([f, _zeros((r, q * nb * m - f.shape[1]))], axis=1)
@@ -383,22 +383,21 @@ def _reversion(a, p):
     coefficients of g in any characteristic.  No reciprocal: by the chain
     rule, f(g) = t mod t^h gives 1/f'(g) = g' mod t^(h-1), and n1 - h <= h - 1.
     One composition and one product per step.  Short series solve sum_k g_k
-    a^k = t, triangular in the _powers a^k: g_n pins the t^n coefficient,
-    pivot a_1^n, the rest a dot product below 32*256^2, exact in int64."""
+    a^k = t, triangular in the _powers a^0..a^(n1-2): from n = 1, g_n pins
+    t^n's coefficient [n = 1], pivot a_1^n, the rest an exact int64 dot product."""
     n1 = a.shape[0]
     if n1 <= _LEAF:
-        pows, g = _powers(a, n1 - 1, p, n1), _zeros(n1)
-        inv_f1 = inv_pow = pow(int(a[1]), -1, p)
-        g[1] = inv_f1
-        for n in range(2, n1):
+        pows, g = _powers(a, n1 - 2, p, n1), _zeros(n1)
+        inv_f1, inv_pow = pow(int(a[1]), -1, p), 1
+        for n in range(1, n1):
             inv_pow = inv_pow * inv_f1 % p      # 1 / a_1^n
-            g[n] = -int(g[:n] @ pows[:n, n]) * inv_pow % p
+            g[n] = ((n == 1) - int(g[:n] @ pows[:n, n])) * inv_pow % p
         return g
     h = n1 // 2 + 1
     g = np.concatenate([_reversion(a[:h], p), _zeros(n1 - h)])
     dg = _red(g[1:n1 - h + 1] * np.arange(1, n1 - h + 1), p)   # g' mod t^(n1-h)
     # f(g) - t is t^h times f(g)'s tail from t^h
-    g[h:] = _red(g[h:] - _mul(_compose(a[None], g, p)[0, h:], dg, p), p)
+    g[h:] = _red(-_mul(_compose(a[None], g, p)[0, h:], dg, p), p)
     return g
 
 
@@ -546,10 +545,7 @@ class Series:
         return self._new(_red(-self.coeffs, self.p))
 
     def __sub__(self, other):
-        if isinstance(other, Series):
-            self._check_context(other)
-            return self._new(_red(self.coeffs - other.coeffs, self.p))
-        if _is_int(other):
+        if isinstance(other, Series) or _is_int(other):
             return self + (-other)
         return NotImplemented
 
@@ -665,12 +661,12 @@ class Series:
         head = lines[0].split()
         if len(head) != 2 or not head[0].startswith("p=") or not head[1].startswith("N="):
             raise ValueError("the header must be p=<p> N=<N>")
-        p = _number(head[0][2:], "characteristic", PRIME_CAP)
+        p = check_prime(_number(head[0][2:], "characteristic", PRIME_CAP))
         trunc = _number(head[1][2:], "truncation order", MAX_TRUNC)
         data = lines[1].split()
         if data == ["0"]:
             return cls(p, trunc, ())
-        terms = {}
+        arr = _zeros(trunc + 1)
         last = -1
         for tok in data:
             e_str, _, c_str = tok.partition(":")
@@ -678,5 +674,5 @@ class Series:
             if e <= last:
                 raise ValueError("exponents must be strictly ascending")
             last = e
-            terms[e] = _number(c_str, "coefficient")
-        return cls.from_terms(p, trunc, terms)
+            arr[e] = _number(c_str, "coefficient") % p
+        return cls(p, trunc, arr)

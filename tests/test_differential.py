@@ -1170,6 +1170,19 @@ def test_reversion_leaf_at_every_length_and_pivot(p):
             assert f.reversion() == eliminate_reversion(f), (p, n, a1)
 
 
+@pytest.mark.parametrize("p", (2, 3, 257))
+def test_reversion_leaf_builds_only_the_rows_it_reads(monkeypatch, p):
+    """The leaf's solve reads a^0, ..., a^(n1-2): one _conv for each of
+    those rows j >= 1 that p does not divide, the others being spreads."""
+    calls = []
+    monkeypatch.setattr(series, "_conv", lambda *args: calls.append(args) or _conv(*args))
+    rng = random.Random(465 + p)
+    for n1 in (2, 3, _LEAF):
+        calls.clear()
+        random_invertible(rng, p, n1 - 1).reversion()
+        assert len(calls) == sum(j % p != 0 for j in range(1, n1 - 1)), (p, n1)
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_reversion_roundtrip_under_horner(p):
     rng = random.Random(460 + p)

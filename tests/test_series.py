@@ -653,10 +653,20 @@ def test_text_roundtrip_random():
     "p=2 N=5\n1:+1\n",
     "p=2 N=5\n1:1_0\n",
     "p=2 N=5\n1:\uff11\n",           # FULLWIDTH DIGIT ONE
+    # characteristics _number reads but check_prime rejects
+    "p=0 N=5\n1:1\n",
+    "p=1 N=5\n1:1\n",
+    "p=4 N=5\n1:x\n",
 ])
 def test_from_text_rejects_malformed(text):
     with pytest.raises(ValueError):
         Series.from_text(text)
+
+
+def test_from_text_checks_the_header_before_the_terms():
+    """A composite p and a bad term: the error names the prime."""
+    with pytest.raises(ValueError, match="characteristic 4 is not prime"):
+        Series.from_text("p=4 N=5\n1:x\n")
 
 
 @pytest.mark.parametrize("text", [None, 123, ["p=2 N=3", "1:1"], b"p=2 N=3\n1:1\n"])
@@ -667,6 +677,9 @@ def test_from_text_of_a_non_str_is_a_type_error(text):
 
 def test_from_text_keeps_negative_coefficients():
     assert Series.from_text("p=3 N=2\n1:1 2:-1\n") == Series.from_terms(3, 2, {1: 1, 2: 2})
+    # past int64 each way: reduced mod p as parsed, not an OverflowError
+    big = 2 ** 64 + 1
+    assert Series.from_text(f"p=3 N=5\n1:{big} 2:-{big}\n") == Series.from_terms(3, 5, {1: big, 2: -big})
 
 
 @pytest.mark.parametrize("text", [
