@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NotCoprime, NotNormalized, ZeroParameter
 from .field import _echo, _is_int, check_prime
-from .series import Series, _check_trunc, _compose, _ladder, _substitute
+from .series import Series, _check_trunc, _compose, _ladder, _series, _substitute
 
 INFINITE_DEPTH = math.inf
 DEFAULT_CAP_EXP = 6     # order_mod_truncation's cap is p^DEFAULT_CAP_EXP unless given
@@ -62,7 +62,7 @@ class GroupElement:
         if k == 0:
             return GroupElement.identity(self.p, self.trunc)
         p, c = self.p, self.series.coeffs
-        return GroupElement(self.series._new(_ladder(c, k, lambda f, g: _compose(f[None], g, p)[0])))
+        return GroupElement(_series(p, _ladder(c, k, lambda f, g: _compose(f[None], g, p)[0])))
 
     def inverse(self):
         """The compositional inverse, again a group element."""
@@ -167,4 +167,4 @@ def klopsch_rep(p, m, a, trunc):
     _check_trunc(trunc, m + 1)      # depth m is seen at N >= m + 1
     u = Series(p, trunc // m, (1, -a % p)).reciprocal().nth_root(m)
     t_u = np.concatenate(([0], _substitute(u.coeffs, m, trunc)))     # t * u(t^m)
-    return GroupElement(Series(p, trunc, t_u))
+    return GroupElement(_series(p, t_u))

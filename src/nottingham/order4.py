@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import WrongCharacteristic
 from .group import GroupElement
-from .series import Series, _check_trunc, _compose_all
+from .series import Series, _check_trunc, _compose_all, _series
 
 CHECK_NAMES = (
     "artin_schreier",
@@ -65,7 +65,7 @@ DEFAULT_PRECISION = 1024
 
 def _r(x):
     """x*r over F_2, where r = 1/(1+t) is the all-ones series: x's prefix XOR."""
-    return x._new(np.bitwise_xor.accumulate(x.coeffs))
+    return _series(x.p, np.bitwise_xor.accumulate(x.coeffs))
 
 
 def _algebraic(w):
@@ -93,14 +93,13 @@ def sigma_support(trunc):
 
 def sigma_closed(trunc):
     """The order-4 element from its closed-form coefficient support."""
-    return GroupElement(Series(2, trunc, _sigma_coeffs(trunc)))
+    return GroupElement(_series(2, _sigma_coeffs(trunc)))
 
 
 def schreier_root(trunc):
     """The valuation-3 root s of s^2 + s = t^3 + t^4 over F_2, that is
     Series.artin_schreier_root of t^3 + t^4 truncated at N."""
-    _check_trunc(trunc)
-    rhs = {e: 1 for e in (3, 4) if e <= trunc}      # t^3 + t^4, truncated
+    rhs = ((e, 1) for e in (3, 4) if e <= trunc)    # lazy: from_terms checks trunc first
     return Series.from_terms(2, trunc, rhs).artin_schreier_root()
 
 

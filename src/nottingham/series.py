@@ -26,6 +26,8 @@ system in _powers' rows.
 
 Values are immutable after construction and every operation is a pure
 function of its inputs, so Series objects are safe to share across threads.
+Series(p, N, coeffs), from_terms and from_text check a caller's input once;
+an array the library built becomes a Series through _series, unchecked.
 """
 
 import math
@@ -375,7 +377,7 @@ def _compose_all(fs, g):
         f._check_context(g)
     if g.coeffs[0] != 0:
         raise NonzeroConstant("inner series of a composition must have f(0) = 0")
-    return [g._new(c) for c in _compose(np.array([f.coeffs for f in fs]), g.coeffs, g.p)]
+    return [_series(g.p, c) for c in _compose(np.array([f.coeffs for f in fs]), g.coeffs, g.p)]
 
 
 def _reversion(a, p):
@@ -401,6 +403,15 @@ def _reversion(a, p):
     return g
 
 
+def _series(p, arr):
+    """The Series of arr at N = len(arr) - 1, unchecked: arr is an int64
+    array of residues mod p that the library built and no one writes again."""
+    s = Series.__new__(Series)
+    arr.flags.writeable = False
+    s.p, s.trunc, s.coeffs = p, len(arr) - 1, arr
+    return s
+
+
 class Series:
     """Element of F_p[t]/(t^(N+1)) with canonical integer coefficients."""
 
@@ -417,22 +428,10 @@ class Series:
             arr = np.asarray([c % p if _is_int(c) else c for c in arr.tolist()])
             if arr.dtype.kind != "i":
                 raise ValueError(f"coefficients must be integers, got dtype {arr.dtype}")
-        arr = _red(arr.astype(_DT, copy=False), p)
-        if arr.shape[0] < trunc + 1:
-            arr = np.concatenate([arr, _zeros(trunc + 1 - arr.shape[0])])
-        arr.flags.writeable = False
-        self.p = p
-        self.trunc = trunc
-        self.coeffs = arr
-
-    def _new(self, arr):
-        # internal: arr is a fresh, already-reduced int64 array of full length
-        s = Series.__new__(Series)
-        arr.flags.writeable = False
-        s.p = self.p
-        s.trunc = self.trunc
-        s.coeffs = arr
-        return s
+        out = _zeros(trunc + 1)
+        _red(arr.astype(_DT, copy=False), p, out=out[:len(arr)])
+        out.flags.writeable = False
+        self.p, self.trunc, self.coeffs = p, trunc, out
 
     # ------------------------------------------------------------------
     # constructors
@@ -470,7 +469,7 @@ class Series:
                 raise ValueError(f"exponent {e} given twice")
             seen.add(e)
             arr[e] = c % p
-        return cls(p, trunc, arr)
+        return _series(p, arr)
 
     # ------------------------------------------------------------------
     # basic queries
@@ -532,17 +531,17 @@ class Series:
     def __add__(self, other):
         if isinstance(other, Series):
             self._check_context(other)
-            return self._new(_red(self.coeffs + other.coeffs, self.p))
+            return _series(self.p, _red(self.coeffs + other.coeffs, self.p))
         if _is_int(other):
             arr = self.coeffs.copy()
             arr[0] = (arr[0] + other % self.p) % self.p
-            return self._new(arr)
+            return _series(self.p, arr)
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._new(_red(-self.coeffs, self.p))
+        return _series(self.p, _red(-self.coeffs, self.p))
 
     def __sub__(self, other):
         if isinstance(other, Series) or _is_int(other):
@@ -557,9 +556,9 @@ class Series:
     def __mul__(self, other):
         if isinstance(other, Series):
             self._check_context(other)
-            return self._new(_mul(self.coeffs, other.coeffs, self.p))
+            return _series(self.p, _mul(self.coeffs, other.coeffs, self.p))
         if _is_int(other):
-            return self._new(_red(self.coeffs * (other % self.p), self.p))
+            return _series(self.p, _red(self.coeffs * (other % self.p), self.p))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -571,11 +570,11 @@ class Series:
             return NotImplemented
         if k < 0:
             raise ValueError("negative powers: take reciprocal() first")
-        return self._new(_pow(self.coeffs, k, self.p))
+        return _series(self.p, _pow(self.coeffs, k, self.p))
 
     def reciprocal(self):
         """The unique g with self*g = 1; requires a unit constant term."""
-        return self._new(_inv_root(self.coeffs, 1, self.p))
+        return _series(self.p, _inv_root(self.coeffs, 1, self.p))
 
     # ------------------------------------------------------------------
     # composition
@@ -590,7 +589,7 @@ class Series:
         """Compositional inverse: g with self(g) = g(self) = t."""
         if self.trunc < 1 or self.coeffs[0] != 0 or self.coeffs[1] == 0:
             raise NotInvertible("compositional inverse needs f(0) = 0 and f_1 != 0")
-        return self._new(_reversion(self.coeffs, self.p))
+        return _series(self.p, _reversion(self.coeffs, self.p))
 
     # ------------------------------------------------------------------
     # characteristic-p root extraction
@@ -610,7 +609,7 @@ class Series:
         while (even := s[2 * k:4 * k:2]).size:
             even ^= s[k:k + len(even)]
             k *= 2
-        return self._new(s)
+        return _series(self.p, s)
 
     def nth_root(self, m):
         """The unique u with u(0) = 1 and u^m = self, for gcd(m, p) = 1.
@@ -626,7 +625,7 @@ class Series:
             raise BadRoot("m-th roots are extracted from unit series with f(0) = 1")
         if m == 1:
             return self
-        return self._new(_inv_root(_inv_root(self.coeffs, m, self.p), 1, self.p))
+        return _series(self.p, _inv_root(_inv_root(self.coeffs, m, self.p), 1, self.p))
 
     # ------------------------------------------------------------------
     # precision
@@ -638,7 +637,7 @@ class Series:
         if new_trunc < 0 or new_trunc > self.trunc:
             raise BadTruncation(
                 f"cannot truncate from N={self.trunc} to N={_echo(new_trunc)}")
-        return Series(self.p, new_trunc, self.coeffs[:new_trunc + 1])
+        return _series(self.p, self.coeffs[:new_trunc + 1].copy())    # pins no long parent
 
     # ------------------------------------------------------------------
     # sparse text encoding
@@ -664,15 +663,12 @@ class Series:
         p = check_prime(_number(head[0][2:], "characteristic", PRIME_CAP))
         trunc = _number(head[1][2:], "truncation order", MAX_TRUNC)
         data = lines[1].split()
-        if data == ["0"]:
-            return cls(p, trunc, ())
-        arr = _zeros(trunc + 1)
-        last = -1
-        for tok in data:
+        arr, last = _zeros(trunc + 1), -1
+        for tok in [] if data == ["0"] else data:
             e_str, _, c_str = tok.partition(":")
             e = _number(e_str, "exponent", trunc)
             if e <= last:
                 raise ValueError("exponents must be strictly ascending")
             last = e
             arr[e] = _number(c_str, "coefficient") % p
-        return cls(p, trunc, arr)
+        return _series(p, arr)

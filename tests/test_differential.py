@@ -291,7 +291,7 @@ def test_conv_takes_the_byte_table_kernel_at_its_crossover():
             assert np.array_equal(_conv(x, y, 2, 2 * _CLMUL), np.convolve(x, y)[:2 * _CLMUL] % 2), e
 
 
-def test_mul_rows_at_the_walk_crossover_shapes():
+def test_horner_rows_at_the_walk_crossover_shapes():
     """Row products of r*m = _CLMUL coefficients, where a composition's walk
     goes packed, and rows of m = 128: each side of both edges, 1, 2 and 27
     rows, one row with a valuation and one zero, and all ones."""

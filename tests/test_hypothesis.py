@@ -141,6 +141,10 @@ ENTRY_POINTS = {
     "order_cap": lambda a, b, c, d: order_mod_truncation(GroupElement(F), a),
     "verify_all": lambda a, b, c, d: nottingham.verify_all(a),
     "check_prime": lambda a, b, c, d: nottingham.check_prime(a),
+    "identity": lambda a, b, c, d: nottingham.identity(a, b),
+    "schreier_root": lambda a, b, c, d: nottingham.schreier_root(a),
+    "relation_root": lambda a, b, c, d: nottingham.relation_root(a),
+    "run_checks": lambda a, b, c, d: nottingham.run_checks(a),
 }
 ENTRY_POINTS.update({f"sigma_{name}": lambda a, b, c, d, fn=getattr(nottingham, f"sigma_{name}"): fn(a)
                      for name in ("closed", "algebraic", "relation", "bundle", "support")})

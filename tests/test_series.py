@@ -9,6 +9,7 @@ from nottingham import (
     BadPrecision,
     BadRoot,
     BadTruncation,
+    GroupElement,
     MismatchedContext,
     NonzeroConstant,
     NotAUnit,
@@ -19,8 +20,10 @@ from nottingham import (
     identity,
     klopsch_rep,
     order_mod_truncation,
+    relation_root,
     sigma_closed,
 )
+from nottingham import series
 from nottingham.series import _KRONECKER, MAX_TRUNC, Series, _conv, _red
 
 from support import (
@@ -196,9 +199,51 @@ def test_valuation_and_zero():
 
 
 def test_coefficients_are_immutable():
-    f = Series.gen(2, 4)
+    """Every constructor's and every operation's coefficients are read-only,
+    a caller's array is copied, and a truncation shares no memory with its
+    parent."""
     with pytest.raises(ValueError):
-        f.coeffs[0] = 1
+        Series.gen(2, 4).coeffs[0] = 1
+    arr = np.array([1, 2, 0, 1], dtype=np.int64)
+    f = Series(3, 6, arr)
+    arr[:] = 0
+    assert f == Series(3, 6, [1, 2, 0, 1])
+    g = Series.from_terms(3, 6, {0: 1, 1: 1, 3: 2})
+    t = Series.gen(3, 6)
+    h = t + t * t
+    e = GroupElement(h)
+    values = [
+        f, Series(3, 6, [1, 2]), Series(3, 6, (1, 2)), Series.zero(3, 6), Series.one(3, 6), t, g,
+        Series.from_text(g.to_text()), Series.from_text("p=3 N=6\n0\n"), g.truncate(3),
+        f + g, f - g, 1 - f, f + 1, -f, f * g, 2 * f, g ** 5, g.reciprocal(), g.compose(h), g(h),
+        h.reversion(), Series.from_terms(2, 12, {3: 1, 4: 1}).artin_schreier_root(), g.nth_root(2),
+        (e * e).series, (e ** 3).series, e.inverse().series, e.truncate(4).series,
+        identity(3, 6).series, klopsch_rep(3, 2, 1, 8).series, sigma_closed(16).series,
+        relation_root(16),
+    ]
+    assert not any(v.coeffs.flags.writeable for v in values)
+    assert not np.shares_memory(g.truncate(3).coeffs, g.coeffs)
+
+
+def test_each_input_is_checked_once(monkeypatch):
+    """from_terms checks p and N once, from_text p once (its header parser
+    caps N), and truncate neither: none of them builds its result through
+    Series(p, N, coeffs), which would check again."""
+    counts = {}
+    for name in ("check_prime", "_check_trunc"):
+        def spy(*args, name=name, real=getattr(series, name)):
+            counts[name] = counts.get(name, 0) + 1
+            return real(*args)
+        monkeypatch.setattr(series, name, spy)
+    f = Series.from_terms(3, 9, {1: 1, 4: 2})
+    assert counts == {"check_prime": 1, "_check_trunc": 1}
+    for text in (f.to_text(), "p=3 N=9\n0\n"):
+        counts.clear()
+        Series.from_text(text)
+        assert counts == {"check_prime": 1}
+    counts.clear()
+    f.truncate(4)
+    assert counts == {}
 
 
 def test_equality_includes_context():
