@@ -179,9 +179,8 @@ def _conv(a, b, p, n1):
     operands cut at their last 1s still take it: high zeros shorten bit slots
     but not the kernel's work, and _inv_root passes a uncut, two coefficients
     for klopsch_rep's 1 - a*x at p = 2."""
-    if not len(a) >= _KRONECKER <= len(b):      # _route's 0, inline: most products are short
-        return _red(np.convolve(a, b)[:n1], p)
-    s = _route(p, min(len(a), len(b)))
+    # _route's 0, inline: most products are short
+    s = _route(p, min(len(a), len(b))) if len(a) >= _KRONECKER <= len(b) else 0
     if s < 0:       # x[::-1].argmax() finds the last 1 of p = 2 residues, if any
         last = [len(x) - 1 - int(x[::-1].argmax()) for x in (a, b)]
         if a[last[0]] and b[last[1]] and _route(p, 1 + min(last)) < 0:
@@ -297,28 +296,28 @@ def _pow(a, k, p):
             return _zeros(n1)
         k %= (p - 1) * _period(p, n1)
     d = k % p
-    low = _ladder(a, d, lambda x, y: _mul(x, y, p)) if d else np.eye(1, n1, dtype=_DT)[0]
     if k < p:
-        return low
+        return _ladder(a, d, lambda x, y: _mul(x, y, p)) if d else np.eye(1, n1, dtype=_DT)[0]
     rest = _substitute(_pow(a[:(n1 - 1) // p + 1], k // p, p), p, n1)
-    return _mul(low, rest, p) if d else rest
+    return _mul(_ladder(a, d, lambda x, y: _mul(x, y, p)), rest, p) if d else rest
 
 
 def _inv_root(a, m, p):
     """a^(-1/m) mod t^n1, n1 = len(a), u(0) = 1/a(0), for m a unit mod p and
-    a(0) = 1 if m > 1, by Newton (Brent and Kung 1978) from u mod t^h, h =
-    ceil(n1/2): a*u^m = 1 + t^h*e, and u gains -(u*e mod t^(n1-h))/m."""
+    a(0) = 1 if m > 1, by Newton (Brent and Kung 1978) in one array u of n1
+    zeros from u mod t^h, h = ceil(n1/2), in u[:h]: a*u^m = 1 + t^h*e, and u
+    gains -(u*e mod t^(n1-h))/m in u[h:]."""
     n1 = a.shape[0]
     if n1 == 1:
         if not a[0]:
             raise NotAUnit("series with zero constant term has no reciprocal")
         return np.array([pow(int(a[0]), -1, p)], dtype=_DT)
     h = (n1 + 1) // 2
-    u = _inv_root(a[:h], m, p)
-    um = _pow(np.concatenate([u, _zeros(n1 - h)]), m, p) if m > 1 else u
-    e = _conv(a, um, p, n1)[h:]
-    c = _conv(e, u[:n1 - h], p, n1 - h)
-    return np.concatenate([u, _red(-pow(m % p, -1, p) * c, p)])
+    u = _zeros(n1)
+    u[:h] = _inv_root(a[:h], m, p)
+    e = _conv(a, _pow(u, m, p) if m > 1 else u[:h], p, n1)[h:]
+    u[h:] = _red(-pow(m % p, -1, p) * _conv(e, u[:n1 - h], p, n1 - h), p)
+    return u
 
 
 def _powers(g, m, p, n1):
@@ -396,7 +395,8 @@ def _reversion(a, p):
             g[n] = ((n == 1) - int(g[:n] @ pows[:n, n])) * inv_pow % p
         return g
     h = n1 // 2 + 1
-    g = np.concatenate([_reversion(a[:h], p), _zeros(n1 - h)])
+    g = _zeros(n1)
+    g[:h] = _reversion(a[:h], p)
     dg = _red(g[1:n1 - h + 1] * np.arange(1, n1 - h + 1), p)   # g' mod t^(n1-h)
     # f(g) - t is t^h times f(g)'s tail from t^h
     g[h:] = _red(-_mul(_compose(a[None], g, p)[0, h:], dg, p), p)

@@ -18,11 +18,14 @@ The spread sum for Artin-Schreier roots, the loop the library ran before
 it solved s = f + s(t^2) by doubling, makes no product at all, so it
 stays fast at large N.  naive_order takes every p-th power at full
 precision, where the library takes them at the precision that depth
-bounds predict.
+bounds predict.  lucas_klopsch_rep writes klopsch_rep's coefficients down
+in closed form, binomial coefficients mod p by Lucas's theorem, with no
+product and no Newton step.
 """
 
 import contextlib
 import io
+import math
 
 import numpy as np
 
@@ -258,6 +261,29 @@ def power_nth_root(f, m):
     f^(1 + jq) = f; the m-th root oracle at large N (gcd(m, p) = 1)."""
     q = unit_exponent(f.p, f.trunc) // (f.p - 1)
     return naive_power(f, pow(m, -1, q), convolve_product)
+
+
+def lucas_klopsch_rep(p, m, a, n):
+    """klopsch_rep(p, m, a, n) in closed form: t*u(t^m), u = (1 - a*x)^alpha
+    = sum_k (-a)^k binom(alpha, k) x^k for alpha = -1/m in Z_p.  For k < q =
+    p^J, binom(alpha, k) mod p depends only on A = alpha mod q (Vandermonde:
+    binom(q*y, i) = 0 mod p for 0 < i < q), and by Lucas's theorem it is the
+    product of binom(A_i, k_i) over all J base-p digits of A and k; A's top
+    digits may be 0 where k's are not, so none is skipped."""
+    q = 1
+    while q < n // m + 1:
+        q *= p
+    big_a = -pow(m, -1, q) % q
+    e = np.arange((n - 1) // m + 1)     # the exponents of x that reach t^n
+    u, k = np.ones_like(e), e
+    while q > 1:
+        row = np.array([math.comb(big_a % p, j) % p for j in range(p)])
+        u = u * row[k % p] % p
+        big_a, k, q = big_a // p, k // p, q // p
+    u = u * np.array([pow(-a, j, p) for j in range(p - 1)])[e % (p - 1)] % p
+    coeffs = np.zeros(n + 1, dtype=np.int64)
+    coeffs[1::m] = u
+    return GroupElement(Series(p, n, coeffs))
 
 
 def run_cli(argv):

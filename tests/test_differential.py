@@ -26,8 +26,8 @@ from nottingham import BadRoot, MismatchedContext, NonzeroConstant, WrongCharact
 from nottingham.group import GroupElement, klopsch_rep, order_mod_truncation
 from nottingham.order4 import _r, sigma_closed
 from nottingham.series import (
-    _CLMUL, _KRONECKER, _LEAF, _SPREAD, _TWIG, Series, _clmul, _compose, _compose_all, _conv,
-    _gather, _horner, _inv_root, _mul, _pack, _pow, _powers, _route, _substitute)
+    MAX_TRUNC, _CLMUL, _KRONECKER, _LEAF, _SPREAD, _TWIG, Series, _clmul, _compose, _compose_all,
+    _conv, _gather, _horner, _inv_root, _mul, _pack, _pow, _powers, _route, _substitute)
 
 from support import (
     block_ladder,
@@ -37,6 +37,7 @@ from support import (
     eliminate_reversion,
     horner_compose,
     horner_rows,
+    lucas_klopsch_rep,
     naive_order,
     naive_power,
     naive_product,
@@ -190,7 +191,7 @@ def test_squares_match_products_of_a_copy(p):
 
 
 @pytest.mark.parametrize("p", PRIMES)
-def test_mul_rows_matches_per_row_mul(p):
+def test_horner_rows_match_per_row_mul(p):
     """_horner's row product against _mul on each row: distinct rows, a row
     with a valuation and a zero row, 1 to 27 rows, around the crossover."""
     rng = random.Random(490 + p)
@@ -207,7 +208,7 @@ def test_mul_rows_matches_per_row_mul(p):
 
 
 @pytest.mark.parametrize("p", PRIMES)
-def test_mul_rows_on_one_row(p):
+def test_horner_on_one_row(p):
     """A single row with a valuation, zero, or a constant c, through
     _horner against one convolution: np.convolve below the crossover, bit
     or byte slots above it; at p = 2 the longest row is past the byte-table
@@ -1204,6 +1205,20 @@ def test_klopsch_rep_matches_unspread_root():
                     root = coefficientwise_nth_root(geometric, m)
                     expected = GroupElement(Series(p, n, [0, *root.coeffs[:n]]))
                     assert klopsch_rep(p, m, a, n) == expected, (p, m, a, n)
+
+
+def test_klopsch_rep_matches_lucas_closed_form():
+    """klopsch_rep against its binomial coefficients mod p, by Lucas's
+    theorem, up to N = p^2*m, where N // m + 1 gains a base-p digit: m = 1,
+    p - 1, p + 1, 2p + 1, 1001 and a random m (alpha's digits change), a = 1,
+    p - 1 and a random a, every N within MAX_TRUNC."""
+    rng = random.Random(1207)
+    for p in (2, 3, 5, 7, 11, 13, 257):
+        for m in {1, p - 1, p + 1, 2 * p + 1, 1001, rng.randrange(1, 2000)}:
+            for a in {1, p - 1, rng.randrange(1, p)}:
+                for n in {m + 1, m + 2, 5 * m + 3, 4096, p * p * m - 1, p * p * m}:
+                    if m % p and m < n <= MAX_TRUNC:
+                        assert klopsch_rep(p, m, a, n) == lucas_klopsch_rep(p, m, a, n), (p, m, a, n)
 
 
 @pytest.mark.parametrize("p", PRIMES)

@@ -67,6 +67,12 @@ def test_compose_context_mismatch():
     g = identity(2, 9)
     with pytest.raises(MismatchedContext):
         f * g
+    for bad in (lambda: f * 3, lambda: 3 * f, lambda: f * f.series):
+        with pytest.raises(TypeError):
+            bad()
+    assert (f == f.series) is False
+    assert hash(f) == hash(identity(2, 8))
+    assert repr(f) == f"GroupElement({f.series!r})"
 
 
 def test_power_basics():

@@ -9,7 +9,9 @@ from nottingham import (
     BadPrecision,
     GroupElement,
     MismatchedContext,
+    WrongCharacteristic,
     identity,
+    klopsch_rep,
     relation_root,
     run_checks,
     schreier_root,
@@ -312,6 +314,10 @@ def test_first_difference_checks_the_context():
     for other in (None, b.sigma_closed, b.trunc):
         with pytest.raises(TypeError, match=f"^expected a SigmaBundle, got {type(other).__name__}$"):
             run_checks(other)
+    with pytest.raises(WrongCharacteristic):
+        run_checks(b.with_candidate(klopsch_rep(3, 1, 1, 64)))
+    report = run_checks(b)
+    assert str(report) == report.render()
 
 
 def test_division_by_one_plus_t_makes_no_product(monkeypatch):

@@ -251,6 +251,12 @@ def test_equality_includes_context():
     assert Series.gen(2, 4) != Series.gen(3, 4)
     assert Series.gen(2, 4) == Series.from_terms(2, 4, {1: 1})
     assert hash(Series.gen(2, 4)) == hash(Series.from_terms(2, 4, {1: 1}))
+    assert bool(Series.zero(2, 4)) is False and bool(Series.gen(2, 4)) is True
+    assert (Series.gen(2, 4) == 3) is False
+    f = Series.gen(2, 4)
+    for bad in (lambda: f + "x", lambda: f - 1.5, lambda: 1.5 - f, lambda: f * 1.5):
+        with pytest.raises(TypeError):
+            bad()
 
 
 # ----------------------------------------------------------------------
